@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,42 +110,52 @@ func BenchmarkFig2ExecutionModel(b *testing.B) {
 
 // BenchmarkSysRun compares the serial per-cycle System.Run dispatch
 // against the streak-batched default on identical systems — the
-// regression meter for the system cycle-loop batching. fig3 is the
-// Fig. 2 benchmark workload (17 iterations: fill/drain-edge heavy);
-// fir4k is the 4096-iteration steady state. CI gates the streak
-// variants at 0 allocs/op and at CPU-conditioned speedup floors over
-// their serial baselines (ci/gates.json, sysbatch group); the committed
-// ci/baseline/BENCH_seed.json holds the pre-batching numbers the
-// trajectory is measured against.
+// regression meter for the columnar streak executor. fig3 is the Fig. 2
+// benchmark workload (17 iterations: fill/drain-edge heavy); fir4k is
+// the 4096-iteration steady state; dct4k is Table 1's DCT body over
+// 4096 samples (an 8-element bus, 8 stores per iteration); wavelet is
+// Table 1's 32x32 (5,3) engine (2-D row strips separated by stall
+// streaks). CI gates the streak variants at 0 allocs/op and the fig3
+// and fir4k ones at CPU-conditioned speedup floors over their serial
+// baselines (ci/gates.json, sysbatch group).
 func BenchmarkSysRun(b *testing.B) {
+	dct, wav := bench.DCT(), bench.Wavelet()
+	dct4k := strings.ReplaceAll(strings.ReplaceAll(dct.Source, "[64]", "[4096]"), "i < 64", "i < 4096")
 	for _, tc := range []struct {
-		name, src string
-		iters     int
+		name, src, fn string
+		opt           Options
+		bus           int
 	}{
-		{"fig3", exp.Fig3Source, 17},
-		{"fir4k", exp.LongFIRSource, 4096},
+		{"fig3", exp.Fig3Source, "fir", DefaultOptions(), 1},
+		{"fir4k", exp.LongFIRSource, "fir", DefaultOptions(), 1},
+		{"dct4k", dct4k, dct.Func, dct.Options, dct.BusElems},
+		{"wavelet", wav.Source, wav.Func, wav.Options, wav.BusElems},
 	} {
-		res, err := Compile(tc.src, "fir", DefaultOptions())
+		res, err := Compile(tc.src, tc.fn, tc.opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(1))
-		in := make([]int64, tc.iters+4)
-		for i := range in {
-			in[i] = rng.Int63n(255) - 128
+		inputs := map[string][]int64{}
+		for _, w := range res.Kernel.Reads {
+			in := make([]int64, w.Arr.Len())
+			for i := range in {
+				in[i] = rng.Int63n(255) - 128
+			}
+			inputs[w.Arr.Name] = in
 		}
 		modes := []struct {
 			name string
 			cfg  netlist.Config
 		}{
-			{tc.name + "-serial", netlist.Config{BusElems: 1, Serial: true}},
-			{tc.name + "-streak", netlist.Config{BusElems: 1}},
+			{tc.name + "-serial", netlist.Config{BusElems: tc.bus, Serial: true}},
+			{tc.name + "-streak", netlist.Config{BusElems: tc.bus}},
 		}
 		for _, backend := range dp.Backends()[1:] {
 			modes = append(modes, struct {
 				name string
 				cfg  netlist.Config
-			}{tc.name + "-streak-" + backend.String(), netlist.Config{BusElems: 1, Backend: backend}})
+			}{tc.name + "-streak-" + backend.String(), netlist.Config{BusElems: tc.bus, Backend: backend}})
 		}
 		for _, m := range modes {
 			b.Run(m.name, func(b *testing.B) {
@@ -154,8 +165,10 @@ func BenchmarkSysRun(b *testing.B) {
 				}
 				run := func() {
 					sys.Reset()
-					if err := sys.LoadInput("A", in); err != nil {
-						b.Fatalf("%s: %v", m.name, err)
+					for name, in := range inputs {
+						if err := sys.LoadInput(name, in); err != nil {
+							b.Fatalf("%s: %v", m.name, err)
+						}
 					}
 					if _, err := sys.Run(); err != nil {
 						b.Fatalf("%s: %v", m.name, err)

@@ -72,6 +72,18 @@ func (g *ReadGen) NextRange() (start, n int) {
 	return start, n
 }
 
+// Advance issues the next n addresses in one step — the n consecutive
+// elements a run of bus words fetched — and returns the first of them;
+// it issues no more than the addresses left.
+func (g *ReadGen) Advance(n int) (start int) {
+	start = g.pos
+	g.pos = min(g.pos+max(n, 0), g.Total)
+	return start
+}
+
+// Issued returns how many addresses have been issued so far.
+func (g *ReadGen) Issued() int { return g.pos }
+
 // Done reports whether all addresses have been issued.
 func (g *ReadGen) Done() bool { return g.pos >= g.Total }
 
@@ -158,14 +170,20 @@ func (g *WriteGen) NextInto(dst []int) []int {
 	if g.done {
 		return nil
 	}
+	addrs := g.addrsInto(dst)
+	g.advance(1)
+	return addrs
+}
+
+// addrsInto fills dst with the current iteration's flat addresses.
+//
+//roccc:hotpath
+func (g *WriteGen) addrsInto(dst []int) []int {
 	if g.fast {
 		addrs := dst[:len(g.fastBase)]
 		it := g.iter[0]
 		for ei, base := range g.fastBase {
 			addrs[ei] = int(base + it*g.fastDelta)
-		}
-		if g.iter[0] = it + 1; g.iter[0] >= g.trips[0] {
-			g.done = true
 		}
 		return addrs
 	}
@@ -184,16 +202,74 @@ func (g *WriteGen) NextInto(dst []int) []int {
 		}
 		addrs[ei] = flat
 	}
-	// Advance odometer, innermost fastest.
-	for l := len(g.iter) - 1; l >= 0; l-- {
+	return addrs
+}
+
+// advance moves the odometer n iterations forward within the current
+// innermost row (n at most the iterations left in it), carrying into
+// the outer levels when the row ends — innermost fastest.
+//
+//roccc:hotpath
+func (g *WriteGen) advance(n int) {
+	last := len(g.iter) - 1
+	if g.iter[last] += int64(n); g.iter[last] < g.trips[last] {
+		return
+	}
+	g.iter[last] = 0
+	for l := last - 1; l >= 0; l-- {
 		g.iter[l]++
 		if g.iter[l] < g.trips[l] {
-			return addrs
+			return
 		}
 		g.iter[l] = 0
 	}
 	g.done = true
-	return addrs
+}
+
+// RunStride derives the flat address step per innermost-loop iteration
+// of a write access: the sum, over the write dimensions indexed by the
+// innermost nest variable, of loop step × index scale, times the row
+// length for the leading dimension of a 2-D array. Zero when the access
+// does not move with the innermost loop. Within one innermost row the
+// addresses are affine in the iteration with this step, which is what
+// lets NextRun hand out whole runs.
+func RunStride(acc *hir.WriteAccess, nest *hir.LoopNest) int {
+	last := nest.Depth() - 1
+	stride := 0
+	for d, dim := range acc.Dims {
+		if last < 0 || dim.Var != nest.Vars[last] {
+			continue
+		}
+		step := int(nest.Step[last] * dim.Scale)
+		if d == 0 && len(acc.Dims) == 2 {
+			step *= acc.Arr.Dims[1]
+		}
+		stride += step
+	}
+	return stride
+}
+
+// NextRun hands out up to max iterations at once, all within the
+// current innermost row: it fills dst with the first iteration's
+// addresses (one per write element, as NextInto does) and returns them
+// with the run length n; iteration t of the run stores element e at
+// addrs[e] + t*RunStride(acc, nest). The generator advances past the
+// whole run.
+// It returns nil, 0 when the nest is exhausted or max is not positive.
+//
+//roccc:hotpath
+func (g *WriteGen) NextRun(dst []int, max int) ([]int, int) {
+	if g.done || max <= 0 {
+		return nil, 0
+	}
+	last := len(g.iter) - 1
+	n := int(g.trips[last] - g.iter[last])
+	if n > max {
+		n = max
+	}
+	addrs := g.addrsInto(dst)
+	g.advance(n)
+	return addrs, n
 }
 
 // Done reports whether the iteration space is exhausted.
@@ -319,6 +395,17 @@ func (c *Controller) TickFeedN(n int) bool {
 //roccc:hotpath
 func (c *Controller) Collect() {
 	c.done++
+	if c.done >= c.TotalIters && (c.state == Drain || c.fed >= c.TotalIters) {
+		c.state = DoneSt
+	}
+}
+
+// CollectN records n completed iterations at once — exactly n Collect
+// calls.
+//
+//roccc:hotpath
+func (c *Controller) CollectN(n int) {
+	c.done += n
 	if c.done >= c.TotalIters && (c.state == Drain || c.fed >= c.TotalIters) {
 		c.state = DoneSt
 	}

@@ -413,3 +413,120 @@ func TestWriteGenFastPathParity(t *testing.T) {
 		t.Error("done mismatch")
 	}
 }
+
+// TestWriteGenNextRunMatchesNextInto drives NextRun with assorted run
+// caps against a NextInto reference over 1-D, strided, multi-element,
+// 2-D and outer-only write shapes: every run must expand to exactly the
+// reference's per-iteration addresses (base + t*RunStride) and stay
+// inside one innermost row.
+func TestWriteGenNextRunMatchesNextInto(t *testing.T) {
+	i := &hir.Var{Name: "i", Kind: hir.VarLoop}
+	j := &hir.Var{Name: "j", Kind: hir.VarLoop}
+	nest2 := &hir.LoopNest{
+		Vars: []*hir.Var{i, j},
+		From: []int64{1, 0},
+		To:   []int64{4, 7},
+		Step: []int64{1, 2},
+	}
+	elem := func(offs ...int64) hir.WindowElem { return hir.WindowElem{Offsets: offs, Elem: &hir.Var{Name: "t"}} }
+	for _, tc := range []struct {
+		name string
+		acc  *hir.WriteAccess
+		nest *hir.LoopNest
+		want int // RunStride
+	}{
+		{"dct-8", &hir.WriteAccess{Arr: &hir.Array{Name: "Y", Dims: []int{64}},
+			Dims:  []hir.WindowDim{{Var: i, Scale: 1}},
+			Elems: []hir.WindowElem{elem(0), elem(4), elem(2), elem(6), elem(1), elem(3), elem(5), elem(7)}},
+			nest1D(i, 0, 64, 8), 8},
+		{"scaled", &hir.WriteAccess{Arr: &hir.Array{Name: "C", Dims: []int{40}},
+			Dims: []hir.WindowDim{{Var: i, Scale: 2}}, Elems: []hir.WindowElem{elem(0), elem(1)}},
+			nest1D(i, 1, 37, 2), 4},
+		{"2d", &hir.WriteAccess{Arr: &hir.Array{Name: "O", Dims: []int{5, 16}},
+			Dims:  []hir.WindowDim{{Var: i, Scale: 1}, {Var: j, Scale: 1}},
+			Elems: []hir.WindowElem{elem(0, 0), elem(0, 1)}}, nest2, 2},
+		{"outer-only", &hir.WriteAccess{Arr: &hir.Array{Name: "R", Dims: []int{5}},
+			Dims: []hir.WindowDim{{Var: i, Scale: 1}}, Elems: []hir.WindowElem{elem(0)}}, nest2, 0},
+		{"transposed", &hir.WriteAccess{Arr: &hir.Array{Name: "T", Dims: []int{8, 5}},
+			Dims:  []hir.WindowDim{{Var: j, Scale: 1}, {Var: i, Scale: 1}},
+			Elems: []hir.WindowElem{elem(0, 0)}}, nest2, 10},
+	} {
+		for _, cap := range []int{1, 2, 3, 5, 1 << 20} {
+			ref, err := NewWriteGen(tc.acc, tc.nest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _ := NewWriteGen(tc.acc, tc.nest)
+			stride := RunStride(tc.acc, tc.nest)
+			if stride != tc.want {
+				t.Fatalf("%s: RunStride %d, want %d", tc.name, stride, tc.want)
+			}
+			ne := len(tc.acc.Elems)
+			bases, rb := make([]int, ne), make([]int, ne)
+			runs := 0
+			for {
+				b, n := g.NextRun(bases, cap)
+				if b == nil {
+					if ref.NextInto(rb) != nil {
+						t.Fatalf("%s cap %d: NextRun exhausted before NextInto", tc.name, cap)
+					}
+					break
+				}
+				if n < 1 || n > cap || n > int(tc.nest.Trips(tc.nest.Depth()-1)) {
+					t.Fatalf("%s cap %d: run of %d", tc.name, cap, n)
+				}
+				for it := 0; it < n; it++ {
+					want := ref.NextInto(rb)
+					if want == nil {
+						t.Fatalf("%s cap %d: run overran the iteration space", tc.name, cap)
+					}
+					for e := range want {
+						if got := b[e] + it*stride; got != want[e] {
+							t.Fatalf("%s cap %d run %d iteration %d elem %d: addr %d, want %d", tc.name, cap, runs, it, e, got, want[e])
+						}
+					}
+				}
+				runs++
+			}
+			if !g.Done() || !ref.Done() {
+				t.Fatalf("%s cap %d: done mismatch (run %v, ref %v)", tc.name, cap, g.Done(), ref.Done())
+			}
+			if b, n := g.NextRun(bases, cap); b != nil || n != 0 {
+				t.Fatalf("%s: NextRun after exhaustion = %v, %d", tc.name, b, n)
+			}
+		}
+	}
+}
+
+func TestReadGenAdvance(t *testing.T) {
+	g := NewReadGen(10, 3)
+	if s := g.Advance(4); s != 0 {
+		t.Fatalf("first Advance start %d", s)
+	}
+	if s, n := g.NextRange(); s != 4 || n != 3 {
+		t.Fatalf("NextRange after Advance = %d,%d, want 4,3", s, n)
+	}
+	if s := g.Advance(100); s != 7 || !g.Done() {
+		t.Fatalf("clamped Advance start %d done %v", s, g.Done())
+	}
+}
+
+func TestControllerCollectN(t *testing.T) {
+	a, b := NewController(6, 2), NewController(6, 2)
+	for _, c := range []*Controller{a, b} {
+		if !c.TickFeedN(6) {
+			t.Fatal("TickFeedN refused")
+		}
+	}
+	a.CollectN(4)
+	for k := 0; k < 4; k++ {
+		b.Collect()
+	}
+	if a.Collected() != b.Collected() || a.StateNow() != b.StateNow() {
+		t.Fatalf("CollectN(4) = %d/%v, 4×Collect = %d/%v", a.Collected(), a.StateNow(), b.Collected(), b.StateNow())
+	}
+	a.CollectN(2)
+	if !a.Finished() {
+		t.Fatal("controller not finished after collecting every iteration")
+	}
+}

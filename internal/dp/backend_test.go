@@ -85,7 +85,7 @@ func diffBackends(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, zer
 			for j := 0; j < n*outW; j++ {
 				if outs[i][j] != outs[0][j] {
 					t.Fatalf("%s [%v]: output mismatch at chunk cycle %d port %d (cycles %d..%d, valid=%v): %d vs interp %d",
-						name, b, j/outW, j%outW, done, done+n-1, valid, outs[i][j], outs[0][j])
+						name, b, j%n, j/n, done, done+n-1, valid, outs[i][j], outs[0][j])
 				}
 			}
 		}
@@ -164,14 +164,14 @@ void k(int a, int b, int* q) {
 			}
 		}
 		ref := dp.NewSim(res.Datapath)
-		_, rerr := ref.RunBatch(iters)
+		_, rerr := ref.RunBatch(columns(iters, 2), len(iters))
 		var rf *dp.FaultError
 		if !errors.As(rerr, &rf) {
 			t.Fatalf("zeroAt=%d: interp did not raise a FaultError: %v", zeroAt, rerr)
 		}
 		for _, b := range dp.Backends()[1:] {
 			sim := dp.NewSimWith(res.Datapath, b)
-			_, berr := sim.RunBatch(iters)
+			_, berr := sim.RunBatch(columns(iters, 2), len(iters))
 			var bf *dp.FaultError
 			if !errors.As(berr, &bf) {
 				t.Fatalf("zeroAt=%d [%v]: no FaultError: %v", zeroAt, b, berr)

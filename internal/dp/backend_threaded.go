@@ -127,6 +127,9 @@ func (s *Sim) stepThreaded(inputs []int64, valid bool) ([]int64, error) {
 			}
 		}
 	}
+	if valid {
+		s.lastValid = s.cycle
+	}
 	s.cycle++
 	outSlots := s.p.outSlots
 	for i := range outSlots {
@@ -819,16 +822,18 @@ func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
 // single wrap applied), the batch counterpart of the specialized MOV
 // step closure.
 func fusedCopy(d, a []int64, w wrapSpec) {
+	sh := uint(w.sh) & 63
+	a = a[:len(d)]
 	switch {
 	case w.sh == 0:
 		copy(d, a)
 	case w.signed:
 		for i := range d {
-			d[i] = a[i] << w.sh >> w.sh
+			d[i] = a[i] << sh >> sh
 		}
 	default:
 		for i := range d {
-			d[i] = int64(uint64(a[i]) << w.sh >> w.sh)
+			d[i] = int64(uint64(a[i]) << sh >> sh)
 		}
 	}
 }

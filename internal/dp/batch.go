@@ -30,8 +30,10 @@ import (
 
 // batchChunkMax bounds the lane scratch: a StepN over millions of
 // iterations runs as a sequence of chunks, keeping the scratch at
-// nOps × (stages + batchChunkMax) values.
-const batchChunkMax = 256
+// nOps × (stages + batchChunkMax) values. The scratch lives as long as
+// its Sim — one per pooled System — so the bound is also a memory
+// budget: beyond ~128 lanes the per-op dispatch is already amortized.
+const batchChunkMax = 128
 
 // batchSerialMax is the largest chunk still run through the serial core:
 // below it the op-major pass spends more time seeding in-flight lanes
@@ -43,13 +45,17 @@ const batchSerialMax = 2
 var errBatchFault = errors.New("dp: sim: batch lane fault")
 
 // StepN advances n clocks, feeding one valid iteration per clock from
-// the flat row-major inputs (n rows of len(Inputs) values each). It is
-// bit-identical to n successive Step calls. The returned slice holds n
-// rows of output-port values, one per clock, in the same layout as the
-// inputs; like Step's, it is reused between calls — copy it to retain
-// values. On a fault (e.g. division by zero on a valid iteration) the
-// faulting cycle is aborted exactly as Step aborts it: every cycle
-// before it has committed, and the error is Step's error.
+// a column-major input block: len(Inputs) contiguous columns of n
+// values, column i holding input port i's value for every clock. It is
+// bit-identical to n successive Step calls. The returned block is
+// column-major too — one contiguous column of n values per output port,
+// row r being the outputs visible after clock r — and, like Step's
+// slice, it is reused between calls; copy it to retain values. On a
+// fault (e.g. division by zero on a valid iteration) the faulting cycle
+// is aborted exactly as Step aborts it: every cycle before it has
+// committed, the error is Step's error, and the returned block still
+// holds the output rows of those committed cycles (Cycle() tells how
+// many there are).
 //
 //roccc:hotpath
 func (s *Sim) StepN(inputs []int64, n int) ([]int64, error) {
@@ -66,8 +72,15 @@ func (s *Sim) StepN(inputs []int64, n int) ([]int64, error) {
 // DrainN advances n clocks with pipeline bubbles, bit-identical to n
 // successive Drain calls: zero inputs enter, the bubbles carry poison
 // bits, faults in bubble lanes are masked and bubbles never commit
-// feedback latches. The returned slice holds n output rows and is
-// reused between calls.
+// feedback latches. The returned column-major output block (one column
+// of n values per output port) is reused between calls; on a fault it
+// holds the rows of the cycles committed before it, as for StepN.
+//
+// Once the pipeline has been empty long enough that every value the
+// plan can still read back is a bubble's (quietAfter), a Drain clock is
+// a fixed point — it recomputes exactly the values already in the ring
+// — so DrainN advances the clock over the rest of the request without
+// computing it and repeats the last output row.
 //
 //roccc:hotpath
 func (s *Sim) DrainN(n int) ([]int64, error) {
@@ -77,93 +90,113 @@ func (s *Sim) DrainN(n int) ([]int64, error) {
 	return s.batchRun(nil, n, false)
 }
 
-// RunBatch is Run on the batch path: all iterations are fed through
-// StepN, the pipeline is drained through DrainN, and the outputs are
-// returned one row per iteration, aligned with the inputs —
-// bit-identical to Run over the same vectors, including the cycle a
-// fault aborts on.
-func (s *Sim) RunBatch(iters [][]int64) ([][]int64, error) {
-	if len(iters) == 0 {
+// RunBatch is Run on the batch path over a column-major input block
+// (len(Inputs) columns of n values, as StepN takes): all iterations are
+// fed through StepN, the pipeline is drained through DrainN, and the
+// outputs come back as a freshly allocated column-major block of n rows
+// aligned with the iterations — bit-identical to Run over the same
+// vectors, including the cycle a fault aborts on.
+func (s *Sim) RunBatch(inputs []int64, n int) ([]int64, error) {
+	if n <= 0 {
 		return nil, nil
 	}
-	inW := len(s.p.inSlots)
-	n := len(iters)
-	if cap(s.batchIn) < n*inW {
-		s.batchIn = make([]int64, n*inW)
-	}
-	flat := s.batchIn[:n*inW]
-	for i, row := range iters {
-		if len(row) != inW {
-			return nil, fmt.Errorf("dp: sim: RunBatch: iteration %d has %d inputs, want %d", i, len(row), inW)
-		}
-		copy(flat[i*inW:(i+1)*inW], row)
-	}
-	lat := s.p.latency
 	outW := len(s.p.outSlots)
-	outs := make([][]int64, 0, n)
-	backing := make([]int64, n*outW)
-	collect := func(rows []int64, first, count int) {
-		for r := first; r < count; r++ {
-			row := backing[len(outs)*outW : (len(outs)+1)*outW]
-			copy(row, rows[r*outW:(r+1)*outW])
-			outs = append(outs, row)
-		}
-	}
-	stepOut, err := s.StepN(flat, n)
+	lat := s.p.latency
+	res := make([]int64, n*outW)
+	stepOut, err := s.StepN(inputs, n)
 	if err != nil {
 		return nil, err
 	}
-	collect(stepOut, min(lat, n), n)
+	// Iteration r exits at clock r+lat: the StepN rows from lat on, then
+	// the drain rows that complete the alignment.
+	first := min(lat, n)
+	for j := 0; j < outW; j++ {
+		copy(res[j*n:], stepOut[j*n+first:(j+1)*n])
+	}
 	drainOut, err := s.DrainN(lat)
 	if err != nil {
 		return nil, err
 	}
-	collect(drainOut, max(0, lat-n), lat)
-	return outs, nil
+	for j := 0; j < outW; j++ {
+		copy(res[j*n+n-first:(j+1)*n], drainOut[j*lat+lat-first:(j+1)*lat])
+	}
+	return res, nil
 }
 
-// batchRun splits an n-clock batch into scratch-bounded chunks.
+// batchRun splits an n-clock batch into scratch-bounded chunks over the
+// column-major blocks (column stride n), and skips the fixed-point tail
+// of a bubble batch.
 //
 //roccc:hotpath
 func (s *Sim) batchRun(inputs []int64, n int, valid bool) ([]int64, error) {
 	outW := len(s.p.outSlots)
-	inW := len(s.p.inSlots)
 	if cap(s.batchOut) < n*outW {
 		s.batchOut = make([]int64, n*outW)
 	}
 	out := s.batchOut[:n*outW]
-	for done := 0; done < n; {
-		c := n - done
-		if c > batchChunkMax {
-			c = batchChunkMax
-		}
-		var in []int64
-		if valid {
-			in = inputs[done*inW : (done+c)*inW]
-		}
-		if err := s.batchChunk(in, c, valid, out[done*outW:(done+c)*outW]); err != nil {
-			return nil, err
+	run := n
+	if !valid && n > 0 {
+		// Compute at least one row (the one the skipped rows repeat) and
+		// every row before the quiet point.
+		run = min(n, max(s.lastValid+1+s.p.quietAfter-s.cycle, 1))
+	}
+	for done := 0; done < run; {
+		c := min(run-done, batchChunkMax)
+		if err := s.batchChunk(inputs, n, done, c, valid, out); err != nil {
+			return out, err
 		}
 		done += c
+	}
+	if run < n {
+		s.skipQuiet(n, run, out)
 	}
 	return out, nil
 }
 
-// serialChunk runs one chunk through the serial core (tiny chunks,
-// pure-feedback plans, and fault replays). interpOnly forces the
-// interpreter step regardless of backend: fault replays go straight to
-// the canonical loop instead of re-entering the threaded step only to
-// fall back again on the faulting cycle.
+// skipQuiet advances the clock over bubble rows [run, n) of a DrainN
+// block without computing them: the pipeline holds only bubbles and
+// every ring value any op or output can still read back was computed by
+// a bubble under the same latch state, so each skipped clock would
+// rewrite the values already there. Ring contents and head therefore
+// stay as they are (reads are head-relative); only the absolute-cycle
+// valid ring and the cycle counter move, and every output column
+// repeats its last computed row.
+//
+//roccc:hotpath
+func (s *Sim) skipQuiet(n, run int, out []int64) {
+	skip := n - run
+	for r := max(0, skip-s.p.rdepth); r < skip; r++ {
+		s.validRing[(s.cycle+r)&s.rmask] = false
+	}
+	s.cycle += skip
+	for j := range s.p.outSlots {
+		col := out[j*n : (j+1)*n]
+		v := col[run-1]
+		for r := run; r < n; r++ {
+			col[r] = v
+		}
+	}
+}
+
+// serialChunk runs rows [off, off+n) of a column-major batch (column
+// stride stride) through the serial core (tiny chunks, pure-feedback
+// plans, and fault replays). interpOnly forces the interpreter step
+// regardless of backend: fault replays go straight to the canonical
+// loop instead of re-entering the threaded step only to fall back again
+// on the faulting cycle.
 //
 //roccc:hotpath
 //roccc:serial-replay
-func (s *Sim) serialChunk(in []int64, n int, valid bool, out []int64, interpOnly bool) error {
-	inW := len(s.p.inSlots)
-	outW := len(s.p.outSlots)
-	for c := 0; c < n; c++ {
-		row := s.zeroBuf
+func (s *Sim) serialChunk(in []int64, stride, off, n int, valid bool, out []int64, interpOnly bool) error {
+	row := s.zeroBuf
+	if valid {
+		row = s.rowBuf
+	}
+	for c := off; c < off+n; c++ {
 		if valid {
-			row = in[c*inW : (c+1)*inW]
+			for i := range row {
+				row[i] = in[i*stride+c]
+			}
 		}
 		var o []int64
 		var err error
@@ -175,17 +208,20 @@ func (s *Sim) serialChunk(in []int64, n int, valid bool, out []int64, interpOnly
 		if err != nil {
 			return err
 		}
-		copy(out[c*outW:(c+1)*outW], o)
+		for j, v := range o {
+			out[j*stride+c] = v
+		}
 	}
 	return nil
 }
 
-// batchChunk executes one chunk of up to batchChunkMax clocks on the
-// lane layout, committing ring, valid ring, feedback state, cycle count
-// and outputs only after the whole chunk has computed fault-free.
+// batchChunk executes rows [off, off+n) (n <= batchChunkMax) of a
+// column-major batch on the lane layout, committing ring, valid ring,
+// feedback state, cycle count and outputs only after the whole chunk
+// has computed fault-free.
 //
 //roccc:hotpath
-func (s *Sim) batchChunk(in []int64, n int, valid bool, out []int64) error {
+func (s *Sim) batchChunk(in []int64, stride, off, n int, valid bool, out []int64) error {
 	p := s.p
 	// Resolve the backend's compiled artifacts up front: the threaded
 	// plan brings its lane kernels and a fixed lane stride; the cone
@@ -202,7 +238,7 @@ func (s *Sim) batchChunk(in []int64, n int, valid bool, out []int64) error {
 		cone = p.coneFor()
 	}
 	if n <= batchSerialMax || (cone == nil && len(p.batchB) > 0 && len(p.batchA)+len(p.batchC) == 0) {
-		return s.serialChunk(in, n, valid, out, false)
+		return s.serialChunk(in, stride, off, n, valid, out, false)
 	}
 	stages := p.stages
 	laneN := stages + n
@@ -219,27 +255,27 @@ func (s *Sim) batchChunk(in []int64, n int, valid bool, out []int64) error {
 		s.laneValid = make([]bool, laneN)
 	}
 	lv := s.laneValid[:laneN]
-	if err := s.batchCompute(in, n, valid, lanes, lv, laneN, tp, cone); err != nil {
+	if err := s.batchCompute(in, stride, off, n, valid, lanes, lv, laneN, tp, cone); err != nil {
 		// A valid lane hit a faulting op. Nothing has been committed:
 		// drop the staged latch writes and replay the chunk serially so
 		// the abort cycle, error and state match Step exactly.
 		for i := range s.stagedSet {
 			s.stagedSet[i] = false
 		}
-		return s.serialChunk(in, n, valid, out, true)
+		return s.serialChunk(in, stride, off, n, valid, out, true)
 	}
-	s.commitChunk(n, valid, lanes, laneN, out)
+	s.commitChunk(n, valid, lanes, laneN, out, stride, off)
 	return nil
 }
 
 // batchCompute fills the lane scratch: validity, in-flight seeds from
-// the ring, batch input rows, then the three execution classes — each
+// the ring, the chunk's input columns, then the three execution classes — each
 // class dispatched through the backend's artifacts when present (tp for
 // threaded lane kernels, cone for the closed-form feedback cone).
 //
 //roccc:hotpath
 //roccc:chunk-compute
-func (s *Sim) batchCompute(in []int64, n int, valid bool, lanes []int64, lv []bool, laneN int, tp *threadPlan, cone *coneSpec) error {
+func (s *Sim) batchCompute(in []int64, stride, off, n int, valid bool, lanes []int64, lv []bool, laneN int, tp *threadPlan, cone *coneSpec) error {
 	p := s.p
 	stages := p.stages
 	cycle0 := s.cycle
@@ -281,10 +317,11 @@ func (s *Sim) batchCompute(in []int64, n int, valid bool, lanes []int64, lv []bo
 		}
 	}
 
-	// Batch rows of the input pseudo-ops (bubble batches feed zeros).
-	// The wrap branch is hoisted out of the row loop: most ports narrow
-	// (one shift pair per value), 64-bit ports copy straight through.
-	inW := len(p.inSlots)
+	// Input columns of the pseudo-ops (bubble batches feed zeros): each
+	// port's chunk is one contiguous run of its column, copied into the
+	// region with the port's wrap hoisted out of the loop — most ports
+	// narrow (one shift pair per value), 64-bit ports copy straight
+	// through.
 	for i := range p.inSlots {
 		sl := &p.inSlots[i]
 		idx := int(sl.base) >> p.opShift
@@ -294,18 +331,17 @@ func (s *Sim) batchCompute(in []int64, n int, valid bool, lanes []int64, lv []bo
 			clear(dst)
 			continue
 		}
-		switch sh := sl.w.sh; {
+		src := in[i*stride+off : i*stride+off+n][:len(dst)]
+		switch sh := uint(sl.w.sh) & 63; {
 		case sh == 0:
-			for r := range dst {
-				dst[r] = in[r*inW+i]
-			}
+			copy(dst, src)
 		case sl.w.signed:
 			for r := range dst {
-				dst[r] = in[r*inW+i] << sh >> sh
+				dst[r] = src[r] << sh >> sh
 			}
 		default:
 			for r := range dst {
-				dst[r] = int64(uint64(in[r*inW+i]) << sh >> sh)
+				dst[r] = int64(uint64(src[r]) << sh >> sh)
 			}
 		}
 	}
@@ -577,11 +613,15 @@ func (s *Sim) batchOps(ops []cop, n int, lanes []int64, lv []bool, laneN int) er
 // op's single wrap applied in the same pass — one traversal instead of
 // a raw pass plus wrapLanes — for the ring×ring and ring×immediate
 // operand layouts. A zero-shift wrap spec (64-bit result, wrapNone) is
-// the raw loop. The loop bodies live in functions so each stays tight
-// and bounds-check-eliminated; the call overhead is per chunk, not per
-// lane.
+// the raw loop. The loop bodies live in functions so each stays tight;
+// the call overhead is per chunk, not per lane. Every helper masks its
+// shift count to 63 (a wrap shift is always below 64) and reslices its
+// operands to the destination's length, so the compiler drops both the
+// oversized-shift handling and the per-lane bounds checks.
 
 func fusedAdd(d, a, b []int64, w wrapSpec) {
+	sh := uint(w.sh) & 63
+	a, b = a[:len(d)], b[:len(d)]
 	switch {
 	case w.sh == 0:
 		for k := range d {
@@ -589,16 +629,18 @@ func fusedAdd(d, a, b []int64, w wrapSpec) {
 		}
 	case w.signed:
 		for k := range d {
-			d[k] = (a[k] + b[k]) << w.sh >> w.sh
+			d[k] = (a[k] + b[k]) << sh >> sh
 		}
 	default:
 		for k := range d {
-			d[k] = int64(uint64(a[k]+b[k]) << w.sh >> w.sh)
+			d[k] = int64(uint64(a[k]+b[k]) << sh >> sh)
 		}
 	}
 }
 
 func fusedAddImm(d, a []int64, imm int64, w wrapSpec) {
+	sh := uint(w.sh) & 63
+	a = a[:len(d)]
 	switch {
 	case w.sh == 0:
 		for k := range d {
@@ -606,16 +648,18 @@ func fusedAddImm(d, a []int64, imm int64, w wrapSpec) {
 		}
 	case w.signed:
 		for k := range d {
-			d[k] = (a[k] + imm) << w.sh >> w.sh
+			d[k] = (a[k] + imm) << sh >> sh
 		}
 	default:
 		for k := range d {
-			d[k] = int64(uint64(a[k]+imm) << w.sh >> w.sh)
+			d[k] = int64(uint64(a[k]+imm) << sh >> sh)
 		}
 	}
 }
 
 func fusedSub(d, a, b []int64, w wrapSpec) {
+	sh := uint(w.sh) & 63
+	a, b = a[:len(d)], b[:len(d)]
 	switch {
 	case w.sh == 0:
 		for k := range d {
@@ -623,16 +667,18 @@ func fusedSub(d, a, b []int64, w wrapSpec) {
 		}
 	case w.signed:
 		for k := range d {
-			d[k] = (a[k] - b[k]) << w.sh >> w.sh
+			d[k] = (a[k] - b[k]) << sh >> sh
 		}
 	default:
 		for k := range d {
-			d[k] = int64(uint64(a[k]-b[k]) << w.sh >> w.sh)
+			d[k] = int64(uint64(a[k]-b[k]) << sh >> sh)
 		}
 	}
 }
 
 func fusedSubFrom(d []int64, imm int64, b []int64, w wrapSpec) {
+	sh := uint(w.sh) & 63
+	b = b[:len(d)]
 	switch {
 	case w.sh == 0:
 		for k := range d {
@@ -640,16 +686,18 @@ func fusedSubFrom(d []int64, imm int64, b []int64, w wrapSpec) {
 		}
 	case w.signed:
 		for k := range d {
-			d[k] = (imm - b[k]) << w.sh >> w.sh
+			d[k] = (imm - b[k]) << sh >> sh
 		}
 	default:
 		for k := range d {
-			d[k] = int64(uint64(imm-b[k]) << w.sh >> w.sh)
+			d[k] = int64(uint64(imm-b[k]) << sh >> sh)
 		}
 	}
 }
 
 func fusedMul(d, a, b []int64, w wrapSpec) {
+	sh := uint(w.sh) & 63
+	a, b = a[:len(d)], b[:len(d)]
 	switch {
 	case w.sh == 0:
 		for k := range d {
@@ -657,16 +705,18 @@ func fusedMul(d, a, b []int64, w wrapSpec) {
 		}
 	case w.signed:
 		for k := range d {
-			d[k] = (a[k] * b[k]) << w.sh >> w.sh
+			d[k] = (a[k] * b[k]) << sh >> sh
 		}
 	default:
 		for k := range d {
-			d[k] = int64(uint64(a[k]*b[k]) << w.sh >> w.sh)
+			d[k] = int64(uint64(a[k]*b[k]) << sh >> sh)
 		}
 	}
 }
 
 func fusedMulImm(d, a []int64, imm int64, w wrapSpec) {
+	sh := uint(w.sh) & 63
+	a = a[:len(d)]
 	switch {
 	case w.sh == 0:
 		for k := range d {
@@ -674,11 +724,11 @@ func fusedMulImm(d, a []int64, imm int64, w wrapSpec) {
 		}
 	case w.signed:
 		for k := range d {
-			d[k] = (a[k] * imm) << w.sh >> w.sh
+			d[k] = (a[k] * imm) << sh >> sh
 		}
 	default:
 		for k := range d {
-			d[k] = int64(uint64(a[k]*imm) << w.sh >> w.sh)
+			d[k] = int64(uint64(a[k]*imm) << sh >> sh)
 		}
 	}
 }
@@ -701,7 +751,7 @@ func wrapLanes(d []int64, op *cop) {
 	switch op.wmode {
 	case wrapNone:
 	case wrapSingle:
-		sh := op.fw.sh
+		sh := uint(op.fw.sh) & 63
 		if op.fw.signed {
 			for i := range d {
 				d[i] = d[i] << sh >> sh
@@ -850,10 +900,11 @@ func (s *Sim) batchCone(ops []cop, n int, lanes []int64, lv []bool, laneN int) e
 
 // commitChunk applies a fault-free chunk to the simulator state: ring
 // history (the last rdepth cycles of every op and input), valid ring,
-// feedback latches, cycle count, head, and the chunk's output rows.
+// feedback latches, cycle count, head, and the chunk's rows [off,
+// off+n) of the column-major output block (column stride stride).
 //
 //roccc:hotpath
-func (s *Sim) commitChunk(n int, valid bool, lanes []int64, laneN int, out []int64) {
+func (s *Sim) commitChunk(n int, valid bool, lanes []int64, laneN int, out []int64, stride, off int) {
 	p := s.p
 	stages := p.stages
 	cycle0 := s.cycle
@@ -892,15 +943,16 @@ func (s *Sim) commitChunk(n int, valid bool, lanes []int64, laneN int, out []int
 			s.State[v] = s.state[i]
 		}
 	}
+	if valid {
+		s.lastValid = cycle0 + n - 1
+	}
 	// Output row r belongs to the iteration admitted latency cycles
-	// before cycle cycle0+r — lane stages-latency+r.
-	outW := len(p.outSlots)
+	// before cycle cycle0+r — lane stages-latency+r — so each port's
+	// chunk is one contiguous copy out of its defining op's region.
 	for i := range p.outSlots {
 		o := &p.outSlots[i]
 		lbase := (int(o.base)>>p.opShift)*laneN + stages - p.latency
-		for r := 0; r < n; r++ {
-			out[r*outW+i] = lanes[lbase+r]
-		}
+		copy(out[i*stride+off:i*stride+off+n], lanes[lbase:lbase+n])
 	}
 	s.head = hNew
 	s.cycle = cycle0 + n

@@ -1,6 +1,7 @@
 package dp_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,17 +16,23 @@ import (
 // the Table 1 kernels (including feedback kernels), fuzzed kernels,
 // random bubble schedules, and divisor-zero iterations.
 
-// stepSerial advances the serial reference by n valid cycles with the
-// given flat inputs, returning the concatenated output rows (or the
-// error Step raised, with prior was-successful rows discarded like
-// StepN discards them).
+// stepSerial advances the serial reference by n valid cycles over the
+// column-major input block StepN takes, scattering each cycle's outputs
+// into the column-major block StepN returns (up to the error Step
+// raised, if any).
 func stepSerial(s *dp.Sim, inputs []int64, n, inW, outW int, out []int64) error {
+	row := make([]int64, inW)
 	for c := 0; c < n; c++ {
-		o, err := s.Step(inputs[c*inW : (c+1)*inW])
+		for i := range row {
+			row[i] = inputs[i*n+c]
+		}
+		o, err := s.Step(row)
 		if err != nil {
 			return err
 		}
-		copy(out[c*outW:(c+1)*outW], o)
+		for j, v := range o {
+			out[j*n+c] = v
+		}
 	}
 	return nil
 }
@@ -36,9 +43,24 @@ func drainSerial(s *dp.Sim, n, outW int, out []int64) error {
 		if err != nil {
 			return err
 		}
-		copy(out[c*outW:(c+1)*outW], o)
+		for j, v := range o {
+			out[j*n+c] = v
+		}
 	}
 	return nil
+}
+
+// sameRows compares the first rows of two column-major blocks of n rows.
+func sameRows(t *testing.T, name string, got, want []int64, n, outW, rows int) {
+	t.Helper()
+	for j := 0; j < outW; j++ {
+		for r := 0; r < rows; r++ {
+			if got[j*n+r] != want[j*n+r] {
+				t.Fatalf("%s: output mismatch at chunk cycle %d port %d: batch %d, serial %d",
+					name, r, j, got[j*n+r], want[j*n+r])
+			}
+		}
+	}
 }
 
 // diffSchedule drives one batch sim and one serial sim through the same
@@ -60,6 +82,7 @@ func diffSchedule(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, zer
 		n := 1 + rng.Intn(maxChunk)
 		valid := rng.Intn(3) != 0
 		var bErr, rErr error
+		c0 := bat.Cycle()
 		if valid {
 			for j := 0; j < n*inW; j++ {
 				if zeroInputs && rng.Intn(6) == 0 {
@@ -70,16 +93,12 @@ func diffSchedule(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, zer
 			}
 			var o []int64
 			o, bErr = bat.StepN(in[:n*inW], n)
-			if bErr == nil {
-				copy(bOut, o)
-			}
+			copy(bOut, o)
 			rErr = stepSerial(ref, in, n, inW, outW, rOut)
 		} else {
 			var o []int64
 			o, bErr = bat.DrainN(n)
-			if bErr == nil {
-				copy(bOut, o)
-			}
+			copy(bOut, o)
 			rErr = drainSerial(ref, n, outW, rOut)
 		}
 		if (bErr != nil) != (rErr != nil) {
@@ -88,15 +107,15 @@ func diffSchedule(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, zer
 		}
 		if bErr != nil {
 			// Both faulted: the abort must land on the same cycle and
-			// leave identical latch state; stop the schedule here.
+			// leave identical latch state, and the rows committed before
+			// it must be the serial rows; stop the schedule here.
+			if bat.Cycle() != ref.Cycle() {
+				t.Fatalf("%s: abort cycle: batch %d, serial %d", name, bat.Cycle(), ref.Cycle())
+			}
+			sameRows(t, name, bOut, rOut, n, outW, bat.Cycle()-c0)
 			break
 		}
-		for j := 0; j < n*outW; j++ {
-			if bOut[j] != rOut[j] {
-				t.Fatalf("%s: output mismatch at chunk cycle %d port %d (batch cycles %d..%d, valid=%v): batch %d, serial %d",
-					name, j/outW, j%outW, done, done+n-1, valid, bOut[j], rOut[j])
-			}
-		}
+		sameRows(t, fmt.Sprintf("%s (batch cycles %d..%d, valid=%v)", name, done, done+n-1, valid), bOut, rOut, n, outW, n)
 		done += n
 	}
 	if bat.Cycle() != ref.Cycle() {
@@ -178,26 +197,18 @@ func diffScheduleNonzero(t *testing.T, name string, d *dp.Datapath, rng *rand.Ra
 			}
 			var o []int64
 			o, bErr = bat.StepN(in[:n*inW], n)
-			if bErr == nil {
-				copy(bOut, o)
-			}
+			copy(bOut, o)
 			rErr = stepSerial(ref, in, n, inW, outW, rOut)
 		} else {
 			var o []int64
 			o, bErr = bat.DrainN(n)
-			if bErr == nil {
-				copy(bOut, o)
-			}
+			copy(bOut, o)
 			rErr = drainSerial(ref, n, outW, rOut)
 		}
 		if bErr != nil || rErr != nil {
 			t.Fatalf("%s: unexpected fault (batch %v, serial %v): bubbles or nonzero iterations trapped", name, bErr, rErr)
 		}
-		for j := 0; j < n*outW; j++ {
-			if bOut[j] != rOut[j] {
-				t.Fatalf("%s: output mismatch at flat index %d: batch %d, serial %d", name, j, bOut[j], rOut[j])
-			}
-		}
+		sameRows(t, name, bOut, rOut, n, outW, n)
 		done += n
 	}
 	if bat.Cycle() != ref.Cycle() {
@@ -226,18 +237,19 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Run: %v", k.Name, err)
 		}
-		got, err := dp.NewSim(res.Datapath).RunBatch(iters)
+		n := len(iters)
+		got, err := dp.NewSim(res.Datapath).RunBatch(columns(iters, len(res.Datapath.Inputs)), n)
 		if err != nil {
 			t.Fatalf("%s: RunBatch: %v", k.Name, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: RunBatch returned %d rows, Run %d", k.Name, len(got), len(want))
+		if len(got) != n*len(res.Datapath.Outputs) {
+			t.Fatalf("%s: RunBatch returned %d values, want %d rows of %d", k.Name, len(got), n, len(res.Datapath.Outputs))
 		}
 		for i := range want {
 			for j := range want[i] {
-				if got[i][j] != want[i][j] {
+				if got[j*n+i] != want[i][j] {
 					t.Fatalf("%s: iteration %d output %d: RunBatch %d, Run %d",
-						k.Name, i, j, got[i][j], want[i][j])
+						k.Name, i, j, got[j*n+i], want[i][j])
 				}
 			}
 		}
@@ -268,7 +280,7 @@ void k(int a, int b, int* q) {
 		serial := dp.NewSim(res.Datapath)
 		_, serr := serial.Run(iters)
 		batch := dp.NewSim(res.Datapath)
-		_, berr := batch.RunBatch(iters)
+		_, berr := batch.RunBatch(columns(iters, 2), len(iters))
 		if serr == nil || berr == nil {
 			t.Fatalf("zeroAt=%d: expected both paths to fault (serial %v, batch %v)", zeroAt, serr, berr)
 		}
@@ -336,5 +348,91 @@ func TestRunAllocsBounded(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("Run allocates %.1f allocs/op, want at most 2 (result headers + flat backing)", allocs)
+	}
+}
+
+// TestDrainNQuietSkip drives the schedule the DrainN fixed-point skip
+// exists for — valid iterations, a bubble run long enough to go quiet,
+// then valid iterations again before the skipped bubbles have left the
+// pipeline — on the Table 1 kernels and on deep divider pipelines with
+// nonzero divisors. The skipped bubbles must still read as bubbles
+// (a divider fed their zero inputs must not trap, a latch must not
+// commit them), and every output row must match the serial core.
+func TestDrainNQuietSkip(t *testing.T) {
+	var ds []*dp.Datapath
+	for _, k := range bench.All() {
+		res, err := k.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		ds = append(ds, res.Datapath)
+	}
+	rng := rand.New(rand.NewSource(77))
+	for ki := 0; ki < 12; ki++ {
+		src, _ := generateKernelDiv(rng, 2+rng.Intn(3), 4+rng.Intn(4), 1+rng.Intn(2), true)
+		res, err := core.CompileSource(src, "k", core.Options{Optimize: ki%2 == 0, PeriodNs: 1 + float64(ki%3)})
+		if err != nil {
+			t.Fatalf("kernel %d: %v\n%s", ki, err, src)
+		}
+		ds = append(ds, res.Datapath)
+	}
+	// A divider chain whose pipeline goes quiet before its valid ring
+	// has wrapped: the first skipped bubbles sit in slots still marked
+	// with the last valid iterations, and dividers at every depth see
+	// their zero divisors once valid work resumes.
+	chain := `
+void k(int x, int y, int* o) {
+	int a; int b; int c; int d;
+	a = x / y;
+	b = a * 3 + x;
+	c = b / y;
+	d = c * 5 - b;
+	*o = d / y + c;
+}
+`
+	res, err := core.CompileSource(chain, "k", core.Options{Optimize: true, PeriodNs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds = append(ds, res.Datapath)
+	for di, d := range ds {
+		for _, b := range dp.Backends() {
+			bat, ref := dp.NewSimWith(d, b), dp.NewSim(d)
+			inW, outW := len(d.Inputs), len(d.Outputs)
+			st := d.Stages
+			for step, n := range []int{7, 3*st + 9, 1, 2*st + 5, 5, st + 2, 9, 2*st - 1, 3, 2 * st, 2, 2*st + 1, 4, 2*st + 2, 9, 4*st + 3} {
+				bOut := make([]int64, n*outW)
+				rOut := make([]int64, n*outW)
+				var bErr, rErr error
+				if step%2 == 0 {
+					in := make([]int64, n*inW)
+					for j := range in {
+						in[j] = 1 + rng.Int63n(1<<10)
+					}
+					var o []int64
+					o, bErr = bat.StepN(in, n)
+					copy(bOut, o)
+					rErr = stepSerial(ref, in, n, inW, outW, rOut)
+				} else {
+					var o []int64
+					o, bErr = bat.DrainN(n)
+					copy(bOut, o)
+					rErr = drainSerial(ref, n, outW, rOut)
+				}
+				name := fmt.Sprintf("datapath %d [%v] step %d", di, b, step)
+				if bErr != nil || rErr != nil {
+					t.Fatalf("%s: unexpected fault (batch %v, serial %v)", name, bErr, rErr)
+				}
+				sameRows(t, name, bOut, rOut, n, outW, n)
+				if bat.Cycle() != ref.Cycle() {
+					t.Fatalf("%s: cycle %d, serial %d", name, bat.Cycle(), ref.Cycle())
+				}
+			}
+			for v, rv := range ref.State {
+				if bat.State[v] != rv {
+					t.Fatalf("datapath %d [%v]: feedback %s: batch %d, serial %d", di, b, v.Name, bat.State[v], rv)
+				}
+			}
+		}
 	}
 }

@@ -64,17 +64,21 @@ type Sim struct {
 	outBuf  []int64
 	zeroBuf []int64
 	cycle   int
+	// lastValid is the cycle of the most recent valid admission (-1:
+	// none since Reset) — DrainN's fixed-point horizon.
+	lastValid int
 
 	// Batch-path scratch (batch.go): structure-of-arrays lane values (one
-	// flat region per op), per-lane valid bits, the flat output/input
-	// buffers reused across StepN/DrainN/RunBatch calls, and the running
-	// feedback state of the lane-serialized cone. All grow on first use
-	// and are reused afterwards, so the batch steady state allocates
-	// nothing.
+	// flat region per op), per-lane valid bits, the column-major output
+	// block reused across StepN/DrainN calls, the input row a serial
+	// replay gathers from the input columns, and the running feedback
+	// state of the lane-serialized cone. All grow on first use (or are
+	// sized at NewSim) and are reused afterwards, so the batch steady
+	// state allocates nothing.
 	laneVals   []int64
 	laneValid  []bool
 	batchOut   []int64
-	batchIn    []int64
+	rowBuf     []int64
 	batchState []int64
 
 	// State is a read-only view of the feedback latches keyed by state
@@ -132,6 +136,14 @@ type simPlan struct {
 	ringNeed []int32
 	seeds    []ringEnt
 	commits  []ringEnt
+	// quietAfter is how many bubble clocks after the last valid
+	// admission DrainN computes before a Drain becomes a fixed point:
+	// `stages` clocks until every stage holds a bubble fed zero inputs
+	// under a settled latch state, then max(ringNeed)+1 clocks of such
+	// bubbles, so every value any op or output port can still read back
+	// — including the last computed output row, which the skipped rows
+	// repeat — is one of theirs.
+	quietAfter int
 
 	// Lazily-compiled alternative backends, shared by every Sim over this
 	// plan (backend_cone.go, backend_threaded.go): the recognized
@@ -377,6 +389,11 @@ func compileSimPlan(d *Datapath) *simPlan {
 			snx[int(p.plan[i].slot)>>p.opShift] = true
 		}
 	}
+	maxNeed := 0
+	for _, need := range p.ringNeed {
+		maxNeed = max(maxNeed, int(need))
+	}
+	p.quietAfter = p.stages + maxNeed + 1
 	for idx := 0; idx < p.nOps; idx++ {
 		need := p.ringNeed[idx]
 		if need == 0 || snx[idx] {
@@ -455,6 +472,7 @@ func NewSim(d *Datapath) *Sim {
 		stagedSet:  make([]bool, len(p.fbInit)),
 		outBuf:     make([]int64, len(d.Outputs)),
 		zeroBuf:    make([]int64, len(d.Inputs)),
+		rowBuf:     make([]int64, len(d.Inputs)),
 		batchState: make([]int64, len(p.fbInit)),
 		State:      make(map[*hir.Var]int64, len(p.fbVars)),
 	}
@@ -497,6 +515,7 @@ func (s *Sim) Reset() {
 	}
 	s.head = 0
 	s.cycle = 0
+	s.lastValid = -1
 	s.stagedAny = false
 }
 
@@ -508,14 +527,9 @@ func (s *Sim) Cycle() int { return s.cycle }
 // return value of Step n+Latency.
 func (s *Sim) Latency() int { return s.d.Latency() }
 
-// InWidth returns the number of input ports one Step consumes — the row
-// stride of a flat StepN input region.
+// InWidth returns the number of input ports one Step consumes — the
+// column count of a StepN input block.
 func (s *Sim) InWidth() int { return len(s.p.inSlots) }
-
-// OutWidth returns the number of output ports one Step produces — the
-// row stride of the flat row block StepN and DrainN return, so callers
-// can slice per-cycle output windows out of it without copying.
-func (s *Sim) OutWidth() int { return len(s.p.outSlots) }
 
 // FeedbackByName returns the current value of the feedback latch whose
 // state variable has the given name. The name→latch mapping is built
@@ -733,6 +747,9 @@ func (s *Sim) stepInterp(inputs []int64, valid bool) ([]int64, error) {
 				s.State[s.p.fbVars[i]] = s.stagedVal[i]
 			}
 		}
+	}
+	if valid {
+		s.lastValid = s.cycle
 	}
 	s.cycle++
 	// Output ports are aligned to the pipeline exit: a port whose

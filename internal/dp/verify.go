@@ -250,6 +250,16 @@ func verifyPlan(p *simPlan) []Violation {
 			}
 		}
 		vs = append(vs, verifyWorklists(p, need)...)
+		// DrainN's fixed-point horizon: every stage must hold a bubble
+		// (stages clocks) and every read-back value must be a bubble's
+		// (deepest read + 1 clocks) before a Drain may be skipped.
+		deepest := int32(0)
+		for _, n := range need {
+			deepest = max(deepest, n)
+		}
+		if want := p.stages + int(deepest) + 1; p.quietAfter != want {
+			vs.add("plan/quiet-horizon", "quietAfter %d, but %d stages and a deepest read of %d derive %d", p.quietAfter, p.stages, deepest, want)
+		}
 	}
 
 	vs = append(vs, verifyBatchPartition(p)...)

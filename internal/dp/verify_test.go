@@ -43,6 +43,7 @@ func addPlan() *simPlan {
 	p.inSlots = []inSlot{{base: 0, w: makeWrap(i32)}}
 	p.outSlots = []outSlot{{base: 2, delta: 0}}
 	p.ringNeed = []int32{1, 0}
+	p.quietAfter = 3 // one stage, one-deep read-back, one repeated row
 	p.seeds = []ringEnt{{idx: 0, st: 0, need: 1}}
 	p.commits = []ringEnt{{idx: 0, st: 0, need: 1}}
 	p.batchA = []cop{add}
@@ -74,6 +75,7 @@ func conePlan() *simPlan {
 	p.plan = []cop{lpr, add, snx}
 	p.inSlots = []inSlot{{base: 0, w: makeWrap(i32)}}
 	p.ringNeed = []int32{0, 0, 0, 0}
+	p.quietAfter = 1
 	p.batchB = []cop{lpr, add, snx}
 	return p
 }
@@ -122,6 +124,12 @@ func TestVerifyPlanRingNeedTooShallow(t *testing.T) {
 	p := addPlan()
 	p.ringNeed[0] = 0 // the ADD reads one cycle back; seeding 0 loses it
 	assertInvariant(t, verifyPlan(p), "plan/ring-need")
+}
+
+func TestVerifyPlanQuietHorizonTooShort(t *testing.T) {
+	p := addPlan()
+	p.quietAfter = 2 // skips a Drain whose one-deep read-back is still a valid lane's
+	assertInvariant(t, verifyPlan(p), "plan/quiet-horizon")
 }
 
 func TestVerifyPlanWorklistDrift(t *testing.T) {

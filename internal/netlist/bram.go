@@ -62,6 +62,37 @@ func (m *BRAM) Write(addr int, v int64) error {
 	return nil
 }
 
+// WriteStrided stores vals[t] at addr + t*stride for every t — one
+// output column of a write run — with one bounds check per run (both
+// ends; the addresses are affine in t) and counts len(vals) writes.
+// Out of range, it writes nothing and errors.
+//
+//roccc:hotpath
+func (m *BRAM) WriteStrided(addr, stride int, vals []int64) error {
+	if !m.spanInRange(addr, stride, len(vals)) {
+		return fmt.Errorf("netlist: %s: write run at %d stride %d × %d out of range [0,%d)", m.Name, addr, stride, len(vals), len(m.Data))
+	}
+	m.writes += len(vals)
+	if stride == 1 {
+		copy(m.Data[addr:], vals)
+		return nil
+	}
+	for t, v := range vals {
+		m.Data[addr+t*stride] = v
+	}
+	return nil
+}
+
+// spanInRange reports whether addr + t*stride lies in the BRAM for
+// every t < n.
+func (m *BRAM) spanInRange(addr, stride, n int) bool {
+	if n <= 0 {
+		return true
+	}
+	end := addr + (n-1)*stride
+	return addr >= 0 && addr < len(m.Data) && end >= 0 && end < len(m.Data)
+}
+
 // Stats returns the access counters (reads, writes) — used to verify the
 // smart buffer's fetch-once property at system level.
 func (m *BRAM) Stats() (reads, writes int) { return m.reads, m.writes }

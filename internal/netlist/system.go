@@ -71,11 +71,11 @@ type System struct {
 	iter []int64
 
 	// serial forces the one-Step-per-cycle dispatch path; the default
-	// Run hands guaranteed-feed streaks to dp.Sim.StepN (sysbatch.go).
+	// Run executes guaranteed-feed streaks columnar (sysbatch.go).
 	serial bool
-	// stage is the flat input staging region of one streak chunk (up to
-	// sysChunkMax rows of len(inputs) values each); fedPre snapshots the
-	// pre-chunk fed bits a chunk's harvest replay needs before the
+	// stage is the column-major input block of one streak chunk
+	// (len(inputs) columns of up to plan.streakMax values each); fedPre
+	// snapshots the pre-chunk fed bits a chunk's harvest needs before the
 	// chunk's own fedRing writes can wrap over them.
 	stage  []int64
 	fedPre []bool
@@ -104,8 +104,13 @@ type sysPlan struct {
 	ivs      []ivPlan
 	scalarIn []int // dp input index per Kernel.ScalarParams entry (-1: unused)
 	total    int   // loop nest iterations
-	latency  int
-	fedMask  int
+	// streakMax is the longest streak the predictor can prove: the
+	// iteration count, sysChunkMax, and every read window's row-strip
+	// length (FeedStreak stops at a strip's end). It sizes the staging
+	// block.
+	streakMax int
+	latency   int
+	fedMask   int
 	// needClear reports whether any data-path input is covered by no
 	// window route, IV or scalar: only then must the input vector be
 	// zeroed before a feed cycle (otherwise every slot is overwritten).
@@ -117,16 +122,31 @@ type sysPlan struct {
 }
 
 // readPlan compiles one input window: its smart-buffer configuration and
-// the dense routing table from window taps to data-path input ports.
+// the dense routing tables from window taps to data-path input ports.
 type readPlan struct {
 	cfg      smartbuf.Config
 	arrName  string
 	arrLen   int
 	elemBits int
 	// route maps window tap index -> dp input index (-1: unused), in the
-	// int32 form smartbuf.PopWindowRouted consumes, so the feed stage
-	// pops taps straight into the staged input row.
+	// int32 form smartbuf.PopWindowRouted consumes, so the serial feed
+	// stage pops taps straight into the input vector.
 	route []int32
+	// cols is the streak path's form of the same routing: one entry per
+	// routed tap, naming the input column it fills and the tap's
+	// streaming-index offset from the window origin. The read generator
+	// streams addresses 0..arrLen in order, so streaming index equals
+	// BRAM address, and within a row strip the origin advances by stride
+	// per feed cycle: a k-cycle streak's column is BRAM[base+off +
+	// i*stride], i < k — one contiguous copy when stride is 1.
+	cols   []tapCol
+	stride int
+}
+
+// tapCol routes one window tap into one data-path input column.
+type tapCol struct {
+	in  int // dp input index
+	off int // streaming-index offset from the window origin
 }
 
 // ivPlan routes one loop induction variable into a data-path input.
@@ -143,6 +163,15 @@ type writePlan struct {
 	arrLen   int
 	elemBits int
 	outIdx   []int // write element -> dp output index
+	// Write-run geometry of the columnar harvest: within one innermost
+	// row, element e of consecutive iterations stores at base_e +
+	// t*stride (ctrl.RunStride). Writing a run column by column reorders
+	// stores across elements, which is invisible unless two elements can
+	// hit one address at different iterations (their flat offsets differ
+	// by a nonzero multiple of stride); runMax is then 1, so runs
+	// degenerate to the serial iteration order.
+	stride int
+	runMax int
 }
 
 type planKey struct {
@@ -185,6 +214,7 @@ func compileSysPlan(k *hir.Kernel, d *dp.Datapath, bus int) (*sysPlan, error) {
 		total:   int(k.Nest.TotalIterations()),
 		latency: d.Latency(),
 	}
+	p.streakMax = min(p.total, sysChunkMax)
 	// Dense loop nest.
 	for l := range k.Nest.Vars {
 		p.from = append(p.from, k.Nest.From[l])
@@ -203,15 +233,20 @@ func compileSysPlan(k *hir.Kernel, d *dp.Datapath, bus int) (*sysPlan, error) {
 			arrLen:   w.Arr.Len(),
 			elemBits: w.Arr.Elem.Bits,
 			route:    make([]int32, len(w.Elems)),
+			stride:   bcfg.SweepStride(),
 		}
+		offs := bcfg.TapOffsets()
 		for ei, e := range w.Elems {
 			ix, ok := inputIndex[e.Elem]
 			if !ok {
 				ix = -1 // window tap unused by the data path (e.g. DCE'd)
+			} else {
+				rp.cols = append(rp.cols, tapCol{in: ix, off: offs[ei]})
 			}
 			rp.route[ei] = int32(ix)
 		}
 		p.reads = append(p.reads, rp)
+		p.streakMax = min(p.streakMax, bcfg.Windows[len(bcfg.Windows)-1])
 	}
 	// Write side.
 	for _, acc := range k.Writes {
@@ -228,6 +263,8 @@ func compileSysPlan(k *hir.Kernel, d *dp.Datapath, bus int) (*sysPlan, error) {
 			}
 			wp.outIdx = append(wp.outIdx, ix)
 		}
+		wp.stride = ctrl.RunStride(acc, &k.Nest)
+		wp.runMax = writeRunMax(acc, wp.stride, p.total)
 		p.writes = append(p.writes, wp)
 	}
 	// Induction-variable inputs.
@@ -285,6 +322,35 @@ func compileSysPlan(k *hir.Kernel, d *dp.Datapath, bus int) (*sysPlan, error) {
 	return p, nil
 }
 
+// writeRunMax bounds a columnar write run: unbounded (total) unless two
+// write elements' flat offsets differ by a nonzero multiple of the run
+// stride — then element e at iteration t and element f at iteration t'
+// share an address, and only the serial (t, e) store order is right.
+func writeRunMax(acc *hir.WriteAccess, stride, total int) int {
+	if stride == 0 {
+		return total
+	}
+	flat := func(e hir.WindowElem) int {
+		off := 0
+		for d, o := range e.Offsets {
+			if d == 0 && len(acc.Dims) == 2 {
+				off += int(o) * acc.Arr.Dims[1]
+			} else {
+				off += int(o)
+			}
+		}
+		return off
+	}
+	for i := range acc.Elems {
+		for j := i + 1; j < len(acc.Elems); j++ {
+			if d := flat(acc.Elems[i]) - flat(acc.Elems[j]); d != 0 && d%stride == 0 {
+				return 1
+			}
+		}
+	}
+	return total
+}
+
 // Config for system construction.
 type Config struct {
 	// BusElems is the memory bus width in elements per cycle.
@@ -328,7 +394,7 @@ func NewSystem(k *hir.Kernel, d *dp.Datapath, cfg Config) (*System, error) {
 		fedRing:  make([]bool, plan.fedMask+1),
 		fedMask:  plan.fedMask,
 		serial:   cfg.Serial,
-		stage:    make([]int64, min(plan.total, sysChunkMax)*len(d.Inputs)),
+		stage:    make([]int64, plan.streakMax*len(d.Inputs)),
 		fedPre:   make([]bool, plan.latency),
 	}
 	for _, rp := range plan.reads {
@@ -484,11 +550,12 @@ func (s *System) SetSerial(on bool) { s.serial = on }
 // aborts the run. Run consumes the system's generators and buffers: call
 // Reset before running again.
 //
-// Run dispatches guaranteed-feed streaks — runs of cycles for which
-// every read port is provably WindowReady — through dp.Sim.StepN in one
-// call per streak (sysbatch.go); stall and fill cycles take the serial
-// per-cycle path below. Both paths are bit-identical on outputs,
-// feedback latches, cycle counts and fault abort cycles.
+// Run executes guaranteed-feed streaks — runs of cycles for which every
+// read port is provably WindowReady — and proven stalls as bulk column
+// moves around one dp.Sim.StepN/DrainN dispatch each (sysbatch.go);
+// cycles the predictors cannot prove take the serial per-cycle path
+// below. Both paths are bit-identical on outputs, feedback latches,
+// cycle counts, BRAM and buffer counters, and fault abort cycles.
 //
 //roccc:hotpath
 func (s *System) Run() (*dp.Sim, error) {
@@ -513,10 +580,10 @@ func (s *System) Run() (*dp.Sim, error) {
 			return nil, err
 		}
 		// Streak dispatch: when the predictor proves the next k cycles
-		// all feed, they run through one StepN call instead of k Step
-		// dispatches; a final streak also batches the drain tail, and a
-		// proven stall (fill, or a 2-D sweep waiting on its next row
-		// strip) batches its bubbles through DrainN. Both chunk sizes
+		// all feed, they run columnar through one StepN call instead of
+		// k Step dispatches; a final streak also batches the drain tail,
+		// and a proven stall (fill, or a 2-D sweep waiting on its next
+		// row strip) batches its bubbles through DrainN. Both chunk sizes
 		// stay under the runaway limit so a pathological geometry still
 		// errors on the same cycle as the serial loop.
 		if !s.serial {
@@ -628,7 +695,7 @@ func (s *System) fillInputs(row []int64) error {
 		for _, iv := range p.ivs {
 			row[iv.in] = p.from[iv.level] + s.iter[iv.level]*p.step[iv.level]
 		}
-		s.advanceOdometer()
+		s.advanceOdometer(1)
 	}
 	for si, ix := range p.scalarIn {
 		if ix >= 0 {
@@ -663,11 +730,18 @@ func (s *System) harvest(outs []int64) error {
 }
 
 // advanceOdometer walks the loop nest iteration space in row-major
-// order, mirroring the smart buffer's window order.
+// order, mirroring the smart buffer's window order: n iterations along
+// the innermost row (at most the ones left in it), carrying into the
+// outer levels when the row ends.
 //
 //roccc:hotpath
-func (s *System) advanceOdometer() {
-	for l := len(s.iter) - 1; l >= 0; l-- {
+func (s *System) advanceOdometer(n int) {
+	last := len(s.iter) - 1
+	if s.iter[last] += int64(n); s.iter[last] < s.plan.trips[last] {
+		return
+	}
+	s.iter[last] = 0
+	for l := last - 1; l >= 0; l-- {
 		s.iter[l]++
 		if s.iter[l] < s.plan.trips[l] {
 			return

@@ -11,6 +11,7 @@ package netlist
 
 import (
 	"fmt"
+	"strings"
 
 	"roccc/internal/dp"
 	"roccc/internal/hir"
@@ -39,17 +40,38 @@ func VerifySystem(s *System) []dp.Violation {
 		vs = append(vs, violation("system/wiring", "system carries %d write generators / %d BRAMs for %d write plans",
 			len(s.writeGens), len(s.writeBRAMs), len(p.writes)))
 	}
-	// Streak-dispatch scratch: a chunk stages up to min(total,
-	// sysChunkMax) input rows, and the harvest replay snapshots
+	// Streak-dispatch scratch: a chunk stages one input column of up to
+	// streakMax values per data-path input, and the harvest snapshots
 	// latency-many pre-chunk fed bits.
-	if wantStage := min(p.total, sysChunkMax) * len(s.Datapath.Inputs); len(s.stage) < wantStage {
+	if wantStage := p.streakMax * len(s.Datapath.Inputs); len(s.stage) < wantStage {
 		vs = append(vs, violation("system/wiring", "staging buffer holds %d values, a full chunk needs %d", len(s.stage), wantStage))
 	}
 	if len(s.fedPre) < p.latency {
-		vs = append(vs, violation("system/wiring", "fedPre snapshot holds %d bits, harvest replay needs %d", len(s.fedPre), p.latency))
+		vs = append(vs, violation("system/wiring", "fedPre snapshot holds %d bits, the streak harvest needs %d", len(s.fedPre), p.latency))
 	}
 	if len(s.fedRing) != s.fedMask+1 || s.fedMask != p.fedMask {
 		vs = append(vs, violation("system/wiring", "fed ring of %d bits does not match mask %#x (plan mask %#x)", len(s.fedRing), s.fedMask, p.fedMask))
+	}
+	return vs
+}
+
+// verifyReadSources checks the runtime read-side invariant the streak
+// path rests on (buffer/ring-source): every read port's ring live span
+// equals its read BRAM over the same streaming indices — the streak
+// gathers input columns from the BRAM, the serial path pops them from
+// the ring — and its generator has issued exactly the elements the
+// buffer fetched (streaming index == BRAM address).
+func verifyReadSources(s *System) []dp.Violation {
+	var vs []dp.Violation
+	for i, buf := range s.buffers {
+		for _, msg := range smartbuf.VerifyRingSource(buf, s.readBRAMs[i].Data) {
+			vs = append(vs, dp.Violation{Invariant: "buffer/ring-source",
+				Detail: fmt.Sprintf("read port %d (%s): %s", i, s.plan.reads[i].arrName, strings.TrimPrefix(msg, "buffer/ring-source: "))})
+		}
+		if got, want := s.readGens[i].Issued(), buf.Fetched(); got != want {
+			vs = append(vs, violation("buffer/ring-source", "read port %d (%s): generator issued %d addresses, buffer fetched %d",
+				i, s.plan.reads[i].arrName, got, want))
+		}
 	}
 	return vs
 }
@@ -59,8 +81,10 @@ func violation(inv, format string, args ...any) dp.Violation {
 }
 
 // verifySysPlan checks a compiled system plan against its kernel and
-// data path: every routing index in bounds, the loop nest congruent
-// with the kernel's, the harvest ring deep enough for the pipeline, and
+// data path: every routing index in bounds, the streak path's column
+// routing and write-run geometry re-derived from the buffer
+// configurations and write accesses, the loop nest congruent with the
+// kernel's, the harvest ring deep enough for the pipeline, and
 // needClear re-derived from the actual input coverage.
 func verifySysPlan(p *sysPlan, k *hir.Kernel, d *dp.Datapath) []dp.Violation {
 	var vs []dp.Violation
@@ -96,6 +120,19 @@ func verifySysPlan(p *sysPlan, k *hir.Kernel, d *dp.Datapath) []dp.Violation {
 		add("system/nest", "plan total %d, kernel nest iterates %d", p.total, k.Nest.TotalIterations())
 	}
 
+	// system/streak-bound: the staging block is sized by the longest
+	// streak the predictor can prove — the iteration count, the chunk
+	// bound, and every read window's row-strip length.
+	wantStreak := min(p.total, sysChunkMax)
+	for i := range p.reads {
+		if w := p.reads[i].cfg.Windows; len(w) > 0 {
+			wantStreak = min(wantStreak, w[len(w)-1])
+		}
+	}
+	if p.streakMax != wantStreak {
+		add("system/streak-bound", "streakMax %d, the nest and read windows derive %d", p.streakMax, wantStreak)
+	}
+
 	// system/harvest-ring: latency must match the data path, and the fed
 	// ring must hold latency+1 cycles of history as a power of two —
 	// harvest reads the bit from `latency` cycles ago before the current
@@ -127,6 +164,46 @@ func verifySysPlan(p *sysPlan, k *hir.Kernel, d *dp.Datapath) []dp.Violation {
 			}
 		}
 	}
+	// system/column-routing: the streak path's columns must be exactly
+	// the routed taps, each at the tap's streaming-index offset from the
+	// window origin, and the per-cycle origin advance must be the
+	// innermost window stride — otherwise gathered columns silently
+	// differ from the windows the serial path pops.
+	for i := range p.reads {
+		rp := &p.reads[i]
+		c := rp.cfg
+		if c.Validate() != nil || len(rp.route) != len(c.Taps) {
+			continue // reported above as config/routing violations
+		}
+		if want := c.Stride[len(c.Stride)-1]; rp.stride != want {
+			add("system/column-routing", "read port %d (%s): tap stride %d, innermost window stride is %d", i, rp.arrName, rp.stride, want)
+		}
+		var want []tapCol
+		for t, ix := range rp.route {
+			if ix < 0 {
+				continue
+			}
+			tap := c.Taps[t]
+			if len(tap) != len(c.Extent) {
+				add("system/column-routing", "read port %d (%s): tap %d has %d coordinates for a %d-D window", i, rp.arrName, t, len(tap), len(c.Extent))
+				continue
+			}
+			off := int(tap[len(tap)-1]) - c.MinOff[len(c.MinOff)-1]
+			if len(tap) == 2 {
+				off += (int(tap[0]) - c.MinOff[0]) * c.ArrayDims[1]
+			}
+			want = append(want, tapCol{in: int(ix), off: off})
+		}
+		if len(rp.cols) != len(want) {
+			add("system/column-routing", "read port %d (%s): %d input columns for %d routed taps", i, rp.arrName, len(rp.cols), len(want))
+			continue
+		}
+		for j := range want {
+			if rp.cols[j] != want[j] {
+				add("system/column-routing", "read port %d (%s): column %d is %+v, the routed tap derives %+v", i, rp.arrName, j, rp.cols[j], want[j])
+			}
+		}
+	}
 	if len(p.writes) != len(k.Writes) {
 		add("system/routing", "%d write plans for %d kernel write accesses", len(p.writes), len(k.Writes))
 	}
@@ -136,6 +213,50 @@ func verifySysPlan(p *sysPlan, k *hir.Kernel, d *dp.Datapath) []dp.Violation {
 			if ix < 0 || ix >= nOut {
 				add("system/routing", "write port %d (%s): element %d routes to output %d of %d", i, wp.arrName, e, ix, nOut)
 			}
+		}
+	}
+	// system/write-run: the harvest's run geometry. stride is the flat
+	// address step per innermost iteration; runMax must be 1 exactly
+	// when two elements' flat offsets differ by a nonzero multiple of
+	// it (a column-by-column run would then reorder colliding stores).
+	for i := range p.writes {
+		wp := &p.writes[i]
+		if wp.acc == nil || depth == 0 {
+			continue
+		}
+		inner := k.Nest.Vars[depth-1]
+		stride := 0
+		flat := make([]int, len(wp.acc.Elems))
+		for d, dim := range wp.acc.Dims {
+			rowLen := 1
+			if d == 0 && len(wp.acc.Dims) == 2 {
+				rowLen = wp.acc.Arr.Dims[1]
+			}
+			if dim.Var == inner {
+				stride += int(k.Nest.Step[depth-1]*dim.Scale) * rowLen
+			}
+			for e, el := range wp.acc.Elems {
+				flat[e] += int(el.Offsets[d]) * rowLen
+			}
+		}
+		if wp.stride != stride {
+			add("system/write-run", "write port %d (%s): run stride %d, the access derives %d", i, wp.arrName, wp.stride, stride)
+			continue
+		}
+		collide := false
+		for e := range flat {
+			for f := range flat {
+				if d := flat[e] - flat[f]; stride != 0 && d != 0 && d%stride == 0 {
+					collide = true
+				}
+			}
+		}
+		wantMax := p.total
+		if collide {
+			wantMax = 1
+		}
+		if wp.runMax != wantMax {
+			add("system/write-run", "write port %d (%s): runs capped at %d iterations, want %d (colliding elements: %v)", i, wp.arrName, wp.runMax, wantMax, collide)
 		}
 	}
 	for i, iv := range p.ivs {

@@ -23,3 +23,13 @@ func sysVerifyHook(p *sysPlan, k *hir.Kernel, d *dp.Datapath) {
 	}
 	panic("dpverify: " + k.Name + ": " + strings.Join(msgs, "; "))
 }
+
+// streakVerifyHook checks the read side after every bulk advance and
+// panics on any violation: under `-tags dpverify` each ring's live span
+// must equal its read BRAM over the same indices, and each read
+// generator must have issued exactly the elements its buffer holds.
+func streakVerifyHook(s *System) {
+	if vs := verifyReadSources(s); len(vs) != 0 {
+		panic("dpverify: " + s.Kernel.Name + ": " + vs[0].String())
+	}
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,28 +23,82 @@ func accumBatch(n int) []netlist.Job {
 	return jobs
 }
 
+// gate is a Dispatcher over the server's own registry that can hold one
+// request: once armed, every stream of the next request opened signals
+// entered and blocks until release is closed, then runs normally. Tests
+// use it to keep a request in flight for exactly as long as they need,
+// instead of betting on how long a large batch takes to simulate.
+type gate struct {
+	srv     *Server
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGate(srv *Server) *gate {
+	return &gate{srv: srv, entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (g *gate) Dispatch(kernel string) (Runner, error) {
+	e, err := g.srv.entry(kernel)
+	if err != nil {
+		return nil, err
+	}
+	if g.armed.CompareAndSwap(true, false) {
+		return heldRunner{e: e, g: g}, nil
+	}
+	return e, nil
+}
+
+// heldRunner runs the streams of the request an armed gate holds.
+type heldRunner struct {
+	e *kernelEntry
+	g *gate
+}
+
+func (r heldRunner) RunStream(job *netlist.Job) error {
+	select {
+	case r.g.entered <- struct{}{}:
+	default: // a sibling stream already signalled
+	}
+	<-r.g.release
+	return r.e.RunStream(job)
+}
+
+// startGatedServer starts the test server with a gate plugged in as its
+// dispatcher.
+func startGatedServer(t *testing.T, workers int) (*Server, string, *gate) {
+	t.Helper()
+	var g *gate
+	srv, addr := startServerWith(t, workers, func(s *Server) {
+		g = newGate(s)
+		s.SetDispatcher(g)
+	})
+	return srv, addr, g
+}
+
 // TestRunContextSlotCancel cancels a request while it is still waiting
 // for a connection slot: a single-slot pipelined connection is occupied
-// by a long batch, so the second RunContext blocks on slot acquisition
-// and must return the context error without corrupting the connection
-// or stealing the slot.
+// by a request the server holds in flight, so the second RunContext
+// blocks on slot acquisition and must return the context error without
+// corrupting the connection or stealing the slot.
 func TestRunContextSlotCancel(t *testing.T) {
-	srv, addr := startServer(t, 2)
+	srv, addr, g := startGatedServer(t, 2)
 	c, err := DialContext(context.Background(), addr, WithPipelined(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Warm the pool so the long batch below is sim time, not compile.
 	if err := c.Run("accum", accumBatch(1)); err != nil {
 		t.Fatal(err)
 	}
 
+	g.armed.Store(true)
 	long := make(chan error, 1)
-	go func() { long <- c.RunContext(context.Background(), "accum", accumBatch(20000)) }()
-
-	// Let the long batch take the only slot, then time out behind it.
-	time.Sleep(20 * time.Millisecond)
+	go func() { long <- c.RunContext(context.Background(), "accum", accumBatch(1)) }()
+	// The held stream is executing on the server, so its request owns
+	// the only slot until the gate opens.
+	<-g.entered
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	err = c.RunContext(ctx, "accum", accumBatch(1))
@@ -51,6 +106,7 @@ func TestRunContextSlotCancel(t *testing.T) {
 		t.Fatalf("slot-blocked RunContext = %v, want DeadlineExceeded", err)
 	}
 
+	close(g.release)
 	if err := <-long; err != nil {
 		t.Fatalf("long batch on the held slot failed: %v", err)
 	}
@@ -64,13 +120,14 @@ func TestRunContextSlotCancel(t *testing.T) {
 }
 
 // TestRunContextDeadlineMidFlight cancels a request that is already on
-// the wire: a batch far too large for its deadline. The cancelled
-// request must release its slot, the demux loop must stay healthy as
-// the server's late frames for the dead request drain, and a follow-up
-// request on the same connection must succeed with the pools balanced
-// afterwards — the ISSUE's Gets == Puts + Rejected invariant.
+// the wire: the server holds its first stream until the client's
+// deadline has passed, so the request cannot complete in time. The
+// cancelled request must release its slot, the demux loop must stay
+// healthy as the server's late frames for the dead request drain, and a
+// follow-up request on the same connection must succeed with the pools
+// balanced afterwards (Gets == Puts + Rejected).
 func TestRunContextDeadlineMidFlight(t *testing.T) {
-	srv, addr := startServer(t, 2)
+	srv, addr, g := startGatedServer(t, 2)
 	c, err := DialContext(context.Background(), addr, WithPipelined(4))
 	if err != nil {
 		t.Fatal(err)
@@ -80,18 +137,20 @@ func TestRunContextDeadlineMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	g.armed.Store(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	err = c.RunContext(ctx, "accum", accumBatch(20000))
+	err = c.RunContext(ctx, "accum", accumBatch(3))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-flight RunContext = %v, want DeadlineExceeded", err)
 	}
+	// Open the gate only now: the dead request's frames arrive late,
+	// interleaved with the follow-up below.
+	close(g.release)
 	if !c.Healthy() {
 		t.Fatal("connection poisoned by a mid-flight cancellation")
 	}
 
-	// The demux loop must survive the dead request's late frames: the
-	// follow-up runs on the same connection, interleaved with them.
 	follow := accumBatch(3)
 	if err := c.RunContext(context.Background(), "accum", follow); err != nil {
 		t.Fatalf("follow-up request on the same connection: %v", err)

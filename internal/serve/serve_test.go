@@ -63,11 +63,22 @@ func testSpecs() []KernelSpec {
 // listener's (not srv.Addr(), which only resolves once Serve runs).
 func startServer(t *testing.T, workers int) (*Server, string) {
 	t.Helper()
+	return startServerWith(t, workers, nil)
+}
+
+// startServerWith is startServer with a hook that runs after the test
+// kernels are registered and before Serve starts (SetDispatcher must be
+// called before Serve).
+func startServerWith(t *testing.T, workers int, setup func(*Server)) (*Server, string) {
+	t.Helper()
 	srv := NewServer(workers)
 	for _, spec := range testSpecs() {
 		if err := srv.Register(spec); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if setup != nil {
+		setup(srv)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -140,16 +140,28 @@ func New(cfg Config) (*Buffer, error) {
 	}
 	b.mask = len(b.ring) - 1
 	copy(b.win, cfg.Origin)
-	b.tapOff = make([]int, len(cfg.Taps))
-	for i, tap := range cfg.Taps {
-		if len(cfg.Extent) == 1 {
-			b.tapOff[i] = int(tap[0]) - cfg.MinOff[0]
-		} else {
-			b.tapOff[i] = (int(tap[0])-cfg.MinOff[0])*cfg.ArrayDims[1] + int(tap[1]) - cfg.MinOff[1]
-		}
-	}
+	b.tapOff = cfg.TapOffsets()
 	return b, nil
 }
+
+// TapOffsets flattens every tap (in Taps order) to its streaming-index
+// offset from the window origin: tap t of the window whose origin has
+// streaming index o is element o+TapOffsets()[t] of the streamed array.
+func (c Config) TapOffsets() []int {
+	offs := make([]int, len(c.Taps))
+	for i, tap := range c.Taps {
+		if len(c.Extent) == 1 {
+			offs[i] = int(tap[0]) - c.MinOff[0]
+		} else {
+			offs[i] = (int(tap[0])-c.MinOff[0])*c.ArrayDims[1] + int(tap[1]) - c.MinOff[1]
+		}
+	}
+	return offs
+}
+
+// SweepStride is the streaming-index advance of the window origin per
+// pop within a row strip — the innermost stride.
+func (c Config) SweepStride() int { return c.Stride[len(c.Stride)-1] }
 
 // capacity is the number of live elements the buffer must retain.
 func (c Config) capacity() int {
@@ -171,12 +183,17 @@ func (b *Buffer) minNeededIndex() int {
 	if b.done() {
 		return b.count
 	}
-	switch len(b.cfg.Extent) {
-	case 1:
+	return b.WindowBase()
+}
+
+// WindowBase returns the streaming index of the next window's origin
+// (its top-left element). Within a row strip each pop moves it by
+// cfg.SweepStride().
+func (b *Buffer) WindowBase() int {
+	if len(b.cfg.Extent) == 1 {
 		return b.win[0]
-	default:
-		return b.win[0]*b.cfg.ArrayDims[1] + b.win[1]
 	}
+	return b.win[0]*b.cfg.ArrayDims[1] + b.win[1]
 }
 
 // CanAccept reports whether a full bus word can be pushed without
@@ -272,25 +289,23 @@ func (b *Buffer) PopWindowInto(out []int64) error {
 		return fmt.Errorf("smartbuf: window not ready")
 	}
 	ring, mask := b.ring, b.mask
-	base := b.win[0]
-	if len(b.cfg.Extent) > 1 {
-		base = b.win[0]*b.cfg.ArrayDims[1] + b.win[1]
-	}
+	base := b.WindowBase()
 	for i, off := range b.tapOff {
 		out[i] = ring[(base+off)&mask]
 	}
-	b.slide()
+	b.slide(1)
 	return nil
 }
 
-// slide advances the window by the stride: innermost dimension first,
-// wrapping to the next row strip for 2-D patterns.
+// slide advances the window walk by n windows (n at most the windows
+// left in the row strip): innermost dimension first, wrapping to the
+// next row strip for 2-D patterns when the strip ends.
 //
 //roccc:hotpath
-func (b *Buffer) slide() {
+func (b *Buffer) slide(n int) {
 	last := len(b.cfg.Extent) - 1
-	b.popped[last]++
-	b.win[last] += b.cfg.Stride[last]
+	b.popped[last] += n
+	b.win[last] += n * b.cfg.Stride[last]
 	if last == 1 && b.popped[1] >= b.cfg.Windows[1] {
 		b.popped[1] = 0
 		b.win[1] = b.cfg.Origin[1]
@@ -314,16 +329,13 @@ func (b *Buffer) PopWindowRouted(out []int64, route []int32) error {
 		return fmt.Errorf("smartbuf: window not ready")
 	}
 	ring, mask := b.ring, b.mask
-	base := b.win[0]
-	if len(b.cfg.Extent) > 1 {
-		base = b.win[0]*b.cfg.ArrayDims[1] + b.win[1]
-	}
+	base := b.WindowBase()
 	for i, off := range b.tapOff {
 		if d := route[i]; d >= 0 {
 			out[d] = ring[(base+off)&mask]
 		}
 	}
-	b.slide()
+	b.slide(1)
 	return nil
 }
 
@@ -433,6 +445,109 @@ func (b *Buffer) FeedStreak(max int) int {
 		k = max
 	}
 	return k
+}
+
+// AdvanceFeed is the bulk form of k proven feed cycles (FeedStreak(k)
+// >= k, with this cycle's memory stage already run): cycle i pops one
+// window, and every cycle after the first runs the memory stage before
+// its pop, exactly as the system cycle orders them. It moves no data
+// per cycle. The counters advance in closed form (supply), the window
+// walk slides k windows in one step, and the newly fetched elements are
+// bulk-copied from src into the ring. src is the streamed array itself:
+// the read generator streams addresses 0..len(src) in order, so
+// streaming index i is src[i]. It returns the number of elements
+// fetched — the read generator's and the BRAM's advance. An error means
+// the streak was not provable (nothing is changed then).
+//
+//roccc:hotpath
+func (b *Buffer) AdvanceFeed(k int, src []int64) (int, error) {
+	if k <= 0 {
+		return 0, nil
+	}
+	if !b.WindowReady() || k > b.stripRemaining() {
+		return 0, fmt.Errorf("smartbuf: %d-cycle feed streak not provable (ready %v, %d windows left in the strip)", k, b.WindowReady(), b.stripRemaining())
+	}
+	s := b.cfg.SweepStride()
+	c := b.supply(k-1, b.WindowBase()+s, s, len(src))
+	// The streak's last window must be resident by its pop — the
+	// tightest of the k readiness conditions.
+	if last := b.lastIndexOfWindow() + (k-1)*s; last >= c {
+		return 0, fmt.Errorf("smartbuf: %d-cycle feed streak overruns supply (window needs element %d, %d fetched)", k, last, c)
+	}
+	fetched := c - b.count
+	b.load(src, c)
+	b.slide(k)
+	return fetched, nil
+}
+
+// AdvanceFill is the bulk form of m memory-stage cycles without a pop —
+// a stalled window filling, or the drain after the last window — with
+// the same closed-form counters and ring copy as AdvanceFeed. It
+// returns the number of elements fetched.
+//
+//roccc:hotpath
+func (b *Buffer) AdvanceFill(m int, src []int64) int {
+	if m <= 0 {
+		return 0
+	}
+	c := min(len(src), b.count+m*b.cfg.BusElems) // done: nothing left to protect
+	if !b.done() {
+		c = b.supply(m, b.WindowBase(), 0, len(src))
+	}
+	fetched := c - b.count
+	b.load(src, c)
+	return fetched
+}
+
+// supply returns the element count after m memory-stage cycles, the
+// window origin sitting at origin+i*s (streaming index) during the i-th
+// of them (i from 0), of an array of total elements — the serial
+// schedule's pushes in closed form. A cycle pushes one bus word
+// (clamped at total) iff the generator has elements left and CanAccept
+// holds: count + B - (origin + i*s) <= cap, i.e. count <= lim + i*s with
+// lim = cap - B + origin.
+//
+//   - s >= B: once a push happens, the bound grows at least as fast as
+//     the count, so every later cycle pushes too; only the cycles
+//     before the first admitted one are lost.
+//   - s < B: the number of pushes admitted by cycle i, f(i) =
+//     floor((lim + i*s - count)/B) + 1, grows by at most one per cycle,
+//     so after m cycles exactly min(m, f(m-1)) words went in.
+//
+//roccc:hotpath
+func (b *Buffer) supply(m, origin, s, total int) int {
+	c, bus := b.count, b.cfg.BusElems
+	if m <= 0 || c >= total {
+		return c
+	}
+	lim := b.cap - bus + origin
+	pushes := 0
+	if s >= bus {
+		first := 0 // first admitted cycle
+		if over := c - lim; over > 0 {
+			first = (over + s - 1) / s
+		}
+		pushes = max(0, m-first)
+	} else if slack := lim + (m-1)*s - c; slack >= 0 {
+		pushes = min(m, slack/bus+1)
+	}
+	return min(total, c+pushes*bus)
+}
+
+// load bulk-copies streaming indices [count, c) of src into the ring
+// and sets the count to c. Only the last len(ring) indices can survive
+// in the ring, so at most two copies (around the wrap) leave it exactly
+// as c-count single pushes would.
+//
+//roccc:hotpath
+func (b *Buffer) load(src []int64, c int) {
+	for from := max(b.count, c-len(b.ring)); from < c; {
+		i := from & b.mask
+		n := min(c-from, len(b.ring)-i)
+		copy(b.ring[i:i+n], src[from:from+n])
+		from += n
+	}
+	b.count = c
 }
 
 // Reset empties the buffer and rewinds the window walk to the first

@@ -67,3 +67,23 @@ func VerifyBuffer(b *Buffer) []string {
 // Capacity returns the buffer's logical capacity (the eviction horizon
 // and CanAccept bound) — exposed for the static verifier and tests.
 func (b *Buffer) Capacity() int { return b.cap }
+
+// VerifyRingSource checks the ring against the array it streams: every
+// element still inside the logical capacity — streaming indices
+// [count-cap, count) — must hold src at that index. The bulk advance
+// copies straight from the array and the streak feed gathers window
+// taps from it, so this is the invariant that keeps both equivalent to
+// element-by-element pushes. One "buffer/ring-source" violation is
+// reported per run of the check.
+func VerifyRingSource(b *Buffer, src []int64) []string {
+	if b.count > len(src) {
+		return []string{fmt.Sprintf("buffer/ring-source: %d elements pushed from a %d-element array", b.count, len(src))}
+	}
+	for i := max(0, b.count-b.cap); i < b.count; i++ {
+		if b.ring[i&b.mask] != src[i] {
+			return []string{fmt.Sprintf("buffer/ring-source: ring holds %d for streaming index %d, the array holds %d (live span [%d,%d))",
+				b.ring[i&b.mask], i, src[i], max(0, b.count-b.cap), b.count)}
+		}
+	}
+	return nil
+}
