@@ -411,13 +411,28 @@ func BenchmarkBatchSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkCompile measures full-pipeline compilation of the wavelet
-// engine, the largest kernel.
+// BenchmarkCompile measures the whole pipeline, C → VHDL → synthesis:
+// table1-corpus is one op per round over Table 1 plus ci/corpus (the
+// compile set TestGoldenVHDL pins), wavelet the largest kernel alone.
+// The compile CI group caps the round's allocations.
 func BenchmarkCompile(b *testing.B) {
-	k := bench.Wavelet()
-	for n := 0; n < b.N; n++ {
-		if _, err := k.Compile(); err != nil {
-			b.Fatal(err)
+	cases := compileCases(b)
+	run := func(cs []compileCase) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, c := range cs {
+					if _, _, err := compileVHDL(c); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	b.Run("table1-corpus", run(cases))
+	for _, c := range cases {
+		if c.name == "wavelet" {
+			b.Run("wavelet", run([]compileCase{c}))
 		}
 	}
 }

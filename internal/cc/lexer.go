@@ -24,7 +24,9 @@ func NewLexer(src string) *Lexer {
 // an EOF token.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// C averages two or more source bytes per token (whitespace
+	// included), so one allocation usually holds the whole stream.
+	toks := make([]Token, 0, len(src)/2+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {

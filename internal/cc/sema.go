@@ -401,12 +401,34 @@ func promote(a, b IntType) IntType {
 // UInt1 is the 1-bit boolean produced by comparisons and logic operators.
 var UInt1 = IntType{Bits: 1, Signed: false}
 
+// boxedInts holds every sized integer type already converted to a
+// Type, so recording an expression's type does not allocate.
+var boxedInts = func() (b [2][33]Type) {
+	for bits := range b[0] {
+		b[0][bits] = IntType{Bits: bits}
+		b[1][bits] = IntType{Bits: bits, Signed: true}
+	}
+	return b
+}()
+
+// typed records t as e's type and returns it as a Type.
+func (ck *checker) typed(e Expr, t IntType) (Type, error) {
+	var bt Type = t
+	if t.Bits >= 0 && t.Bits < len(boxedInts[0]) {
+		sign := 0
+		if t.Signed {
+			sign = 1
+		}
+		bt = boxedInts[sign][t.Bits]
+	}
+	ck.info.Types[e] = bt
+	return bt, nil
+}
+
 func (ck *checker) checkExpr(e Expr, sc *scope) (Type, error) {
 	switch e := e.(type) {
 	case *NumberLit:
-		t := Int32
-		ck.info.Types[e] = t
-		return t, nil
+		return ck.typed(e, Int32)
 	case *Ident:
 		sym := sc.lookup(e.Name)
 		if sym == nil {
@@ -441,8 +463,7 @@ func (ck *checker) checkExpr(e Expr, sc *scope) (Type, error) {
 		}
 		ck.info.Refs[e.Base] = sym
 		ck.info.Refs[e] = sym
-		ck.info.Types[e] = at.Elem
-		return at.Elem, nil
+		return ck.typed(e, at.Elem)
 	case *Deref:
 		if err := ck.checkLValue(e, sc); err != nil {
 			return nil, err
@@ -464,8 +485,7 @@ func (ck *checker) checkExpr(e Expr, sc *scope) (Type, error) {
 		default: // MINUS, TILDE operate on the promoted operand
 			t = integerPromote(it)
 		}
-		ck.info.Types[e] = t
-		return t, nil
+		return ck.typed(e, t)
 	case *Binary:
 		xt, err := ck.checkExpr(e.X, sc)
 		if err != nil {
@@ -489,8 +509,7 @@ func (ck *checker) checkExpr(e Expr, sc *scope) (Type, error) {
 		default:
 			t = promote(xi, yi)
 		}
-		ck.info.Types[e] = t
-		return t, nil
+		return ck.typed(e, t)
 	case *CondExpr:
 		if _, err := ck.checkExpr(e.Cond, sc); err != nil {
 			return nil, err
@@ -509,8 +528,7 @@ func (ck *checker) checkExpr(e Expr, sc *scope) (Type, error) {
 			return nil, fmt.Errorf("cc: %s: non-integer conditional arms", e.Pos)
 		}
 		t := promote(ti, fi)
-		ck.info.Types[e] = t
-		return t, nil
+		return ck.typed(e, t)
 	case *Call:
 		return ck.checkCall(e, sc)
 	default:
@@ -526,8 +544,7 @@ func (ck *checker) checkCall(e *Call, sc *scope) (Type, error) {
 		if _, err := ck.checkExpr(e.Args[0], sc); err != nil {
 			return nil, err
 		}
-		ck.info.Types[e] = t
-		return t, nil
+		return ck.typed(e, t)
 	}
 	switch e.Name {
 	case IntrinsicLoadPrev:
@@ -543,8 +560,7 @@ func (ck *checker) checkCall(e *Call, sc *scope) (Type, error) {
 			return nil, fmt.Errorf("cc: %s: undeclared variable %q", id.Pos, id.Name)
 		}
 		ck.info.Refs[id] = sym
-		t := sym.Elem()
-		ck.info.Types[id] = t
+		t, _ := ck.typed(id, sym.Elem())
 		ck.info.Types[e] = t
 		return t, nil
 	case IntrinsicStoreNext:

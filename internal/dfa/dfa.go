@@ -55,7 +55,7 @@ func (s RegSet) Union(o RegSet) bool {
 func DefsUses(b *cfg.Block) (defs, uses RegSet) {
 	defs, uses = RegSet{}, RegSet{}
 	for _, in := range b.Instrs {
-		for _, r := range in.Uses() {
+		for r := range in.Uses() {
 			if !defs[r] {
 				uses[r] = true
 			}
@@ -65,7 +65,7 @@ func DefsUses(b *cfg.Block) (defs, uses RegSet) {
 		}
 	}
 	if b.BranchCond != nil {
-		for _, r := range b.BranchCond.Uses() {
+		for r := range b.BranchCond.Uses() {
 			if !defs[r] {
 				uses[r] = true
 			}
@@ -89,6 +89,11 @@ func Liveness(g *cfg.Graph) (liveIn, liveOut map[*cfg.Block]RegSet) {
 	for _, p := range g.Routine.Outputs {
 		liveIn[g.Exit].Add(p.Reg)
 	}
+	// Block summaries do not change while the fixpoint iterates.
+	defs, uses := make([]RegSet, len(blocks)), make([]RegSet, len(blocks))
+	for i, b := range blocks {
+		defs[i], uses[i] = DefsUses(b)
+	}
 	for changed := true; changed; {
 		changed = false
 		for i := len(blocks) - 1; i >= 0; i-- {
@@ -100,10 +105,9 @@ func Liveness(g *cfg.Graph) (liveIn, liveOut map[*cfg.Block]RegSet) {
 			for _, s := range b.Succs {
 				out.Union(liveIn[s])
 			}
-			defs, uses := DefsUses(b)
-			in := uses.Clone()
+			in := uses[i].Clone()
 			for r := range out {
-				if !defs[r] {
+				if !defs[i][r] {
 					in.Add(r)
 				}
 			}
@@ -145,12 +149,12 @@ func UseCount(g *cfg.Graph) map[vm.Reg]int {
 	counts := map[vm.Reg]int{}
 	for _, b := range g.Blocks {
 		for _, in := range b.Instrs {
-			for _, r := range in.Uses() {
+			for r := range in.Uses() {
 				counts[r]++
 			}
 		}
 		if b.BranchCond != nil {
-			for _, r := range b.BranchCond.Uses() {
+			for r := range b.BranchCond.Uses() {
 				counts[r]++
 			}
 		}

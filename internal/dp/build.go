@@ -231,7 +231,7 @@ func (b *dpBuilder) insertPipeCopies(muxLevel map[*cfg.Block]int) {
 			if op.Node.Level <= lv {
 				continue
 			}
-			for _, r := range op.Instr.Uses() {
+			for r := range op.Instr.Uses() {
 				def := b.d.DefOf[r]
 				if def == nil || def.Node.Level >= lv || seen[r] {
 					continue
@@ -285,7 +285,7 @@ func (b *dpBuilder) sortOps() {
 		}
 		depth[op] = 0 // breaks cycles defensively; the DAG has none
 		max := 0
-		for _, r := range op.Instr.Uses() {
+		for r := range op.Instr.Uses() {
 			if def := d.DefOf[r]; def != nil && def != op {
 				if dd := depthOf(def) + 1; dd > max {
 					max = dd

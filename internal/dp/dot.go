@@ -33,7 +33,7 @@ func (d *Datapath) Dot() string {
 		b.WriteString("  }\n")
 	}
 	for _, op := range d.Ops {
-		for _, r := range op.Instr.Uses() {
+		for r := range op.Instr.Uses() {
 			if def := d.DefOf[r]; def != nil && def != op {
 				style := ""
 				if def.Stage != op.Stage {

@@ -69,12 +69,15 @@ func Pipeline(d *Datapath, cfgp PipelineConfig) error {
 	}
 	d.Period = cfgp.Period
 
-	// Consumers map for feedback-path discovery.
+	// Consumers map for feedback-path discovery; kernels without
+	// feedback never walk it.
 	consumers := map[*Op][]*Op{}
-	for _, op := range d.Ops {
-		for _, r := range op.Instr.Uses() {
-			if def := d.DefOf[r]; def != nil {
-				consumers[def] = append(consumers[def], op)
+	if len(d.Feedbacks) > 0 {
+		for _, op := range d.Ops {
+			for r := range op.Instr.Uses() {
+				if def := d.DefOf[r]; def != nil {
+					consumers[def] = append(consumers[def], op)
+				}
 			}
 		}
 	}
@@ -102,7 +105,7 @@ func Pipeline(d *Datapath, cfgp PipelineConfig) error {
 				return
 			}
 			bwd[op] = true
-			for _, r := range op.Instr.Uses() {
+			for r := range op.Instr.Uses() {
 				if def := d.DefOf[r]; def != nil {
 					back(def)
 				}
@@ -158,15 +161,15 @@ func Pipeline(d *Datapath, cfgp PipelineConfig) error {
 			d.MaxStageDelay = op.TEnd
 		}
 	}
+	// An op is latched when a consumer sits in a later stage.
 	for _, op := range d.Ops {
-		op.Latched = false
-		for _, c := range consumers[op] {
-			if c.Stage > op.Stage {
-				op.Latched = true
+		op.Latched = op.Instr.Op == vm.SNX // "SNX instruction must have a latch" (§4.2.3)
+	}
+	for _, op := range d.Ops {
+		for r := range op.Instr.Uses() {
+			if def := d.DefOf[r]; def != nil && op.Stage > def.Stage {
+				def.Latched = true
 			}
-		}
-		if op.Instr.Op == vm.SNX {
-			op.Latched = true // "SNX instruction must have a latch" (§4.2.3)
 		}
 	}
 	d.Stages = maxStage + 1
@@ -189,7 +192,7 @@ func schedule(d *Datapath, delay DelayFn, period float64, onPath map[*Op]bool, l
 		}
 		stage := 0
 		tStart := 0.0
-		for _, r := range op.Instr.Uses() {
+		for r := range op.Instr.Uses() {
 			def := d.DefOf[r]
 			if def == nil {
 				continue
@@ -225,7 +228,7 @@ func canBump(d *Datapath, op *Op, stage int, onPath map[*Op]bool) bool {
 	if !onPath[op] {
 		return true
 	}
-	for _, r := range op.Instr.Uses() {
+	for r := range op.Instr.Uses() {
 		def := d.DefOf[r]
 		if def == nil || def.Stage != stage {
 			continue

@@ -1,8 +1,9 @@
 package hir
 
 import (
-	"fmt"
 	"sort"
+
+	"roccc/internal/cc"
 )
 
 // cse.go implements local value numbering over linearized regions —
@@ -15,19 +16,55 @@ import (
 func CSE(f *Func) int {
 	Linearize(f)
 	n := 0
-	f.Body = cseRegion(f.Body, &n)
+	cseRegion(f.Body, &n)
 	return n
 }
 
 type vnState struct {
 	varVN  map[*Var]int
-	exprVN map[string]int
+	exprVN map[int]int  // interned RHS key number -> value number
 	repOf  map[int]*Var // value number -> variable currently holding it
 	next   int
+	// ids hash-conses expression keys: equal keys get one number, so a
+	// parent's key holds its operands' numbers, not their keys.
+	ids map[exprKey]int
 }
 
-func newVNState() *vnState {
-	return &vnState{varVN: map[*Var]int{}, exprVN: map[string]int{}, repOf: map[int]*Var{}}
+// newVNState sizes the tables for a region of n statements: a
+// linearized right-hand side is one operator over leaf operands.
+func newVNState(n int) *vnState {
+	return &vnState{
+		varVN: make(map[*Var]int, n), exprVN: make(map[int]int, n),
+		repOf: make(map[int]*Var, 2*n), ids: make(map[exprKey]int, 2*n),
+	}
+}
+
+// exprKind tags the expression form an exprKey describes.
+type exprKind uint8
+
+const (
+	keyConst exprKind = iota + 1
+	keyVar
+	keyLoadPrev
+	keyLut
+	keyUn
+	keyBin
+	keySel
+	keyCast
+)
+
+// exprKey is the canonical value-numbering key of a linearized
+// expression. Operands appear as interned key numbers (a, b, c), a
+// variable read as its current value number (a), a constant as val;
+// commutative operands are ordered by number.
+type exprKey struct {
+	kind    exprKind
+	op      Op
+	a, b, c int
+	val     int64
+	typ     cc.IntType
+	v       *Var   // LoadPrev's feedback variable
+	rom     string // LutRef's table
 }
 
 func (st *vnState) fresh() int {
@@ -60,68 +97,66 @@ var commutative = map[Op]bool{
 // keyOf builds the canonical value-numbering key for a linearized
 // expression; ok is false when the expression must not be numbered
 // (memory loads and anything unrecognized).
-func (st *vnState) keyOf(e Expr) (string, bool) {
+func (st *vnState) keyOf(e Expr) (exprKey, bool) {
 	switch e := e.(type) {
 	case *Const:
-		return fmt.Sprintf("c%d:%s", e.Val, e.Typ), true
+		return exprKey{kind: keyConst, val: e.Val, typ: e.Typ}, true
 	case *VarRef:
-		return fmt.Sprintf("v%d", st.vnOfVar(e.Var)), true
+		return exprKey{kind: keyVar, a: st.vnOfVar(e.Var)}, true
 	case *LoadPrev:
 		// LPR reads the feedback latch, constant within one iteration.
-		return fmt.Sprintf("lpr:%p", e.Var), true
+		return exprKey{kind: keyLoadPrev, v: e.Var}, true
 	case *LutRef:
-		k, ok := st.keyOf(e.Idx)
-		if !ok {
-			return "", false
-		}
-		return fmt.Sprintf("lut:%s[%s]", e.Rom.Name, k), true
+		x, ok := st.idOf(e.Idx)
+		return exprKey{kind: keyLut, a: x, rom: e.Rom.Name}, ok
 	case *Un:
-		k, ok := st.keyOf(e.X)
-		if !ok {
-			return "", false
-		}
-		return fmt.Sprintf("u%d:%s:%s", e.Op, k, e.Typ), true
+		x, ok := st.idOf(e.X)
+		return exprKey{kind: keyUn, op: e.Op, a: x, typ: e.Typ}, ok
 	case *Bin:
-		kx, okx := st.keyOf(e.X)
-		ky, oky := st.keyOf(e.Y)
-		if !okx || !oky {
-			return "", false
+		x, okx := st.idOf(e.X)
+		y, oky := st.idOf(e.Y)
+		if commutative[e.Op] && y < x {
+			x, y = y, x
 		}
-		if commutative[e.Op] && ky < kx {
-			kx, ky = ky, kx
-		}
-		return fmt.Sprintf("b%d:%s:%s:%s", e.Op, kx, ky, e.Typ), true
+		return exprKey{kind: keyBin, op: e.Op, a: x, b: y, typ: e.Typ}, okx && oky
 	case *Sel:
-		kc, okc := st.keyOf(e.Cond)
-		kt, okt := st.keyOf(e.Then)
-		ke, oke := st.keyOf(e.Else)
-		if !okc || !okt || !oke {
-			return "", false
-		}
-		return fmt.Sprintf("s:%s?%s:%s:%s", kc, kt, ke, e.Typ), true
+		c, okc := st.idOf(e.Cond)
+		t, okt := st.idOf(e.Then)
+		f, okf := st.idOf(e.Else)
+		return exprKey{kind: keySel, a: c, b: t, c: f, typ: e.Typ}, okc && okt && okf
 	case *Cast:
-		k, ok := st.keyOf(e.X)
-		if !ok {
-			return "", false
-		}
-		return fmt.Sprintf("cast:%s:%s", k, e.Typ), true
+		x, ok := st.idOf(e.X)
+		return exprKey{kind: keyCast, a: x, typ: e.Typ}, ok
 	default:
-		return "", false
+		return exprKey{}, false
 	}
 }
 
-func cseRegion(list []Stmt, replaced *int) []Stmt {
-	st := newVNState()
-	var out []Stmt
+// idOf interns e's key and returns its number.
+func (st *vnState) idOf(e Expr) (int, bool) {
+	k, ok := st.keyOf(e)
+	if !ok {
+		return 0, false
+	}
+	id, seen := st.ids[k]
+	if !seen {
+		id = len(st.ids) + 1
+		st.ids[k] = id
+	}
+	return id, true
+}
+
+// cseRegion numbers one straight-line region in place.
+func cseRegion(list []Stmt, replaced *int) {
+	st := newVNState(len(list))
 	for _, s := range list {
 		switch s := s.(type) {
 		case *Assign:
-			key, ok := st.keyOf(s.Src)
+			key, ok := st.idOf(s.Src)
 			if !ok {
 				// Unnumberable RHS (memory load): dst gets a fresh value.
 				st.varVN[s.Dst] = st.fresh()
 				st.repOf[st.varVN[s.Dst]] = s.Dst
-				out = append(out, s)
 				continue
 			}
 			if vn, seen := st.exprVN[key]; seen {
@@ -132,38 +167,30 @@ func cseRegion(list []Stmt, replaced *int) []Stmt {
 					}
 				}
 				st.varVN[s.Dst] = vn
-				out = append(out, s)
 				continue
 			}
 			vn := st.fresh()
 			st.exprVN[key] = vn
 			st.varVN[s.Dst] = vn
 			st.repOf[vn] = s.Dst
-			out = append(out, s)
 		case *StoreNext:
 			// The feedback write changes the variable's software value.
 			vn := st.fresh()
 			st.varVN[s.Var] = vn
 			st.repOf[vn] = s.Var
-			out = append(out, s)
 		case *If:
 			// Branch bodies are separate regions; state after the If is
 			// conservatively reset for variables assigned inside.
-			s.Then = cseRegion(s.Then, replaced)
-			s.Else = cseRegion(s.Else, replaced)
+			cseRegion(s.Then, replaced)
+			cseRegion(s.Else, replaced)
 			killAssigned(st, s.Then)
 			killAssigned(st, s.Else)
-			out = append(out, s)
 		case *For:
-			s.Body = cseRegion(s.Body, replaced)
+			cseRegion(s.Body, replaced)
 			killAssigned(st, s.Body)
 			st.varVN[s.Var] = st.fresh()
-			out = append(out, s)
-		default:
-			out = append(out, s)
 		}
 	}
-	return out
 }
 
 func killAssigned(st *vnState, body []Stmt) {
@@ -185,11 +212,12 @@ func killAssigned(st *vnState, body []Stmt) {
 // to drop the copies. Returns the number of replaced uses.
 func CopyProp(f *Func) int {
 	n := 0
-	f.Body = copyPropRegion(f.Body, &n)
+	copyPropRegion(f.Body, &n)
 	return n
 }
 
-func copyPropRegion(list []Stmt, n *int) []Stmt {
+// copyPropRegion propagates copies through one region in place.
+func copyPropRegion(list []Stmt, n *int) {
 	// binding: var -> replacement leaf expression currently valid.
 	binding := map[*Var]Expr{}
 	kill := func(v *Var) {
@@ -201,18 +229,19 @@ func copyPropRegion(list []Stmt, n *int) []Stmt {
 			}
 		}
 	}
+	// Bindings are leaves (a VarRef or a Const), which no pass mutates,
+	// so every substituted read shares the binding's node.
 	substitute := func(e Expr) Expr {
 		return visitExpr(e, func(x Expr) Expr {
 			if ref, ok := x.(*VarRef); ok {
 				if repl, ok2 := binding[ref.Var]; ok2 {
 					*n++
-					return CloneExpr(repl)
+					return repl
 				}
 			}
 			return x
 		})
 	}
-	var out []Stmt
 	for _, s := range list {
 		switch s := s.(type) {
 		case *Assign:
@@ -228,38 +257,30 @@ func copyPropRegion(list []Stmt, n *int) []Stmt {
 					binding[s.Dst] = src
 				}
 			}
-			out = append(out, s)
 		case *StoreNext:
 			s.Src = substitute(s.Src)
 			kill(s.Var) // the feedback write changes the software value
-			out = append(out, s)
 		case *Store:
 			for i := range s.Idx {
 				s.Idx[i] = substitute(s.Idx[i])
 			}
 			s.Src = substitute(s.Src)
-			out = append(out, s)
 		case *If:
 			s.Cond = substitute(s.Cond)
-			s.Then = copyPropRegion(s.Then, n)
-			s.Else = copyPropRegion(s.Else, n)
+			copyPropRegion(s.Then, n)
+			copyPropRegion(s.Else, n)
 			for v := range AssignedVars(s.Then) {
 				kill(v)
 			}
 			for v := range AssignedVars(s.Else) {
 				kill(v)
 			}
-			out = append(out, s)
 		case *For:
-			s.Body = copyPropRegion(s.Body, n)
+			copyPropRegion(s.Body, n)
 			for v := range AssignedVars(s.Body) {
 				kill(v)
 			}
 			kill(s.Var)
-			out = append(out, s)
-		default:
-			out = append(out, s)
 		}
 	}
-	return out
 }

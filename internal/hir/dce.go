@@ -53,7 +53,7 @@ func markLive(list []Stmt, live map[*Var]bool) {
 }
 
 func sweep(list []Stmt, live map[*Var]bool, changed *bool) []Stmt {
-	var out []Stmt
+	out := make([]Stmt, 0, len(list))
 	for _, s := range list {
 		switch s := s.(type) {
 		case *Assign:

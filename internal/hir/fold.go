@@ -12,7 +12,7 @@ func Fold(f *Func) {
 }
 
 func foldStmts(list []Stmt) []Stmt {
-	var out []Stmt
+	out := make([]Stmt, 0, len(list))
 	for _, s := range list {
 		switch s := s.(type) {
 		case *Assign:

@@ -120,6 +120,13 @@ func arrayAccesses(body []Stmt, writes bool) map[*Array]map[int64]bool {
 		}
 		res[arr][off] = true
 	}
+	addLoads := func(e Expr) {
+		for x := range subExprs(e) {
+			if ld, ok := x.(*Load); ok {
+				add(ld.Arr, ld.Idx)
+			}
+		}
+	}
 	var scan func([]Stmt)
 	scan = func(list []Stmt) {
 		for _, s := range list {
@@ -128,21 +135,11 @@ func arrayAccesses(body []Stmt, writes bool) map[*Array]map[int64]bool {
 				if writes {
 					add(s.Arr, s.Idx)
 				} else {
-					VisitExprs([]Stmt{&Assign{Dst: &Var{}, Src: CloneExpr(s.Src)}}, func(e Expr) Expr {
-						if ld, ok := e.(*Load); ok {
-							add(ld.Arr, ld.Idx)
-						}
-						return e
-					})
+					addLoads(s.Src)
 				}
 			case *Assign:
 				if !writes {
-					VisitExprs([]Stmt{s}, func(e Expr) Expr {
-						if ld, ok := e.(*Load); ok {
-							add(ld.Arr, ld.Idx)
-						}
-						return e
-					})
+					addLoads(s.Src)
 				}
 			case *If:
 				scan(s.Then)

@@ -88,12 +88,10 @@ func assignCounts(list []Stmt) map[*Var]int {
 }
 
 func readsFeedback(e Expr) bool {
-	found := false
-	visitExpr(CloneExpr(e), func(x Expr) Expr {
+	for x := range subExprs(e) {
 		if _, ok := x.(*LoadPrev); ok {
-			found = true
+			return true
 		}
-		return x
-	})
-	return found
+	}
+	return false
 }

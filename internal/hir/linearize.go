@@ -13,7 +13,7 @@ func Linearize(f *Func) {
 }
 
 func linStmts(f *Func, list []Stmt) []Stmt {
-	var out []Stmt
+	out := make([]Stmt, 0, len(list))
 	emit := func(s Stmt) { out = append(out, s) }
 	for _, s := range list {
 		switch s := s.(type) {

@@ -548,15 +548,11 @@ func detectFeedback(k *Kernel, pre []Stmt) error {
 func readBeforeWrite(list []Stmt) map[*Var]bool {
 	reads := map[*Var]bool{}
 	noteReads := func(e Expr, written map[*Var]bool) {
-		visitExpr(CloneExpr(e), func(x Expr) Expr {
-			if ref, ok := x.(*VarRef); ok && !written[ref.Var] {
-				reads[ref.Var] = true
+		for x := range subExprs(e) {
+			if v := readVar(x); v != nil && !written[v] {
+				reads[v] = true
 			}
-			if lp, ok := x.(*LoadPrev); ok && !written[lp.Var] {
-				reads[lp.Var] = true
-			}
-			return x
-		})
+		}
 	}
 	var scan func([]Stmt, map[*Var]bool)
 	scan = func(ss []Stmt, written map[*Var]bool) {

@@ -2,6 +2,7 @@ package hir
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -383,5 +384,30 @@ func TestPipelineOfPassesQuick(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSubExprsReadsInPlace(t *testing.T) {
+	x, y := &Var{Name: "x", Type: cc.Int32}, &Var{Name: "y", Type: cc.Int32}
+	e := &Bin{Op: OpAdd, X: &VarRef{Var: x}, Y: &Un{Op: OpNeg, X: &VarRef{Var: y}, Typ: cc.Int32}, Typ: cc.Int32}
+	var kinds []string
+	for s := range subExprs(e) {
+		switch s := s.(type) {
+		case *Bin:
+			kinds = append(kinds, "bin")
+		case *Un:
+			kinds = append(kinds, "un")
+		case *VarRef:
+			kinds = append(kinds, s.Var.Name)
+		}
+	}
+	if got := strings.Join(kinds, " "); got != "bin x un y" {
+		t.Errorf("walk order %q, want parents first: bin x un y", got)
+	}
+	if !exprUses(e, map[*Var]bool{y: true}) || exprUses(e, map[*Var]bool{}) {
+		t.Error("exprUses misses a nested read")
+	}
+	if n := testing.AllocsPerRun(100, func() { exprUses(e, nil) }); n != 0 {
+		t.Errorf("exprUses allocates %v times, want 0", n)
 	}
 }

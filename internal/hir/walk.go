@@ -1,5 +1,7 @@
 package hir
 
+import "iter"
+
 // walk.go holds the traversal and substitution helpers shared by the
 // transformation passes.
 
@@ -108,35 +110,68 @@ func UsedVars(list []Stmt) map[*Var]bool {
 	return set
 }
 
-// exprUses reports whether expression e reads any variable in set.
-func exprUses(e Expr, set map[*Var]bool) bool {
-	found := false
-	visitExpr(CloneExpr(e), func(x Expr) Expr {
-		switch x := x.(type) {
-		case *VarRef:
-			if set[x.Var] {
-				found = true
-			}
-		case *LoadPrev:
-			if set[x.Var] {
-				found = true
+// subExprs yields e and every expression nested in it, parents first.
+// It only reads the tree: a pass that inspects an expression ranges
+// over subExprs instead of rewriting (or copying) it with visitExpr.
+func subExprs(e Expr) iter.Seq[Expr] {
+	return func(yield func(Expr) bool) { walkExpr(e, yield) }
+}
+
+func walkExpr(e Expr, yield func(Expr) bool) bool {
+	if !yield(e) {
+		return false
+	}
+	switch e := e.(type) {
+	case *Load:
+		for _, ix := range e.Idx {
+			if !walkExpr(ix, yield) {
+				return false
 			}
 		}
-		return x
-	})
-	return found
+	case *LutRef:
+		return walkExpr(e.Idx, yield)
+	case *Un:
+		return walkExpr(e.X, yield)
+	case *Bin:
+		return walkExpr(e.X, yield) && walkExpr(e.Y, yield)
+	case *Sel:
+		return walkExpr(e.Cond, yield) && walkExpr(e.Then, yield) && walkExpr(e.Else, yield)
+	case *Cast:
+		return walkExpr(e.X, yield)
+	}
+	return true
+}
+
+// readVar returns the scalar variable x reads (a variable or its
+// feedback latch), or nil.
+func readVar(x Expr) *Var {
+	switch x := x.(type) {
+	case *VarRef:
+		return x.Var
+	case *LoadPrev:
+		return x.Var
+	}
+	return nil
+}
+
+// exprUses reports whether expression e reads any variable in set.
+func exprUses(e Expr, set map[*Var]bool) bool {
+	for x := range subExprs(e) {
+		if v := readVar(x); v != nil && set[v] {
+			return true
+		}
+	}
+	return false
 }
 
 // exprReadsMemory reports whether e contains an array load.
 func exprReadsMemory(e Expr) bool {
-	found := false
-	visitExpr(CloneExpr(e), func(x Expr) Expr {
+	for x := range subExprs(e) {
 		if _, ok := x.(*Load); ok {
-			found = true
+			return true
 		}
-		return x
-	})
-	return found
+	}
+	return false
 }
 
 // HasLoops reports whether the statement list contains a For.

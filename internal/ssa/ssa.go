@@ -7,6 +7,8 @@ package ssa
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"roccc/internal/cfg"
 	"roccc/internal/dfa"
@@ -27,8 +29,10 @@ func Convert(g *cfg.Graph) error {
 
 	// Phase 1: phi placement (pruned SSA).
 	phiOrig := map[*vm.Instr]vm.Reg{} // phi -> original register
-	hasPhiFor := map[*cfg.Block]map[vm.Reg]bool{}
-	for reg, sites := range defSites {
+	// Registers in ascending order: phi order within a block, and with it
+	// the renamed register numbers, must not depend on map iteration.
+	for _, reg := range slices.Sorted(maps.Keys(defSites)) {
+		sites := defSites[reg]
 		if len(sites) < 2 {
 			continue
 		}
@@ -53,10 +57,6 @@ func Convert(g *cfg.Graph) error {
 				}
 				y.Phis = append(y.Phis, phi)
 				phiOrig[phi] = reg
-				if hasPhiFor[y] == nil {
-					hasPhiFor[y] = map[vm.Reg]bool{}
-				}
-				hasPhiFor[y][reg] = true
 				work = append(work, dfa.Def{Block: y, Index: -1})
 			}
 		}

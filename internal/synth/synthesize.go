@@ -78,7 +78,7 @@ func Synthesize(d *dp.Datapath, opt Options) *Report {
 	// Data-path operators and pipeline registers.
 	consumers := map[*dp.Op]int{} // op -> max stage distance to a consumer
 	for _, op := range d.Ops {
-		for _, reg := range op.Instr.Uses() {
+		for reg := range op.Instr.Uses() {
 			if def := d.DefOf[reg]; def != nil {
 				if delta := op.Stage - def.Stage; delta > consumers[def] {
 					consumers[def] = delta

@@ -10,9 +10,8 @@
 package vhdl
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"roccc/internal/dp"
 	"roccc/internal/hir"
@@ -45,23 +44,67 @@ func EmitDatapath(d *dp.Datapath) []File {
 	return files
 }
 
-// sigName is the VHDL signal for a virtual register.
-func sigName(r vm.Reg) string { return fmt.Sprintf("vr%d", int(r)) }
-
-func slv(w int) string {
-	return fmt.Sprintf("std_logic_vector(%d downto 0)", w-1)
+// writer accumulates one VHDL unit in a single pre-sized buffer.
+// Numbers go in through strconv, never fmt, so emitting a unit costs
+// one buffer and its final string. Every method returns the writer,
+// so a statement reads left to right as the VHDL it produces.
+type writer struct {
+	b []byte
 }
 
-// operand renders a vm operand as a numeric_std expression of width w.
-func operand(d *dp.Datapath, o vm.Operand, signed bool, w int) string {
+func newWriter(size int) *writer { return &writer{b: make([]byte, 0, size)} }
+
+func (w *writer) str(s string) *writer {
+	w.b = append(w.b, s...)
+	return w
+}
+
+func (w *writer) num(v int) *writer {
+	w.b = strconv.AppendInt(w.b, int64(v), 10)
+	return w
+}
+
+func (w *writer) num64(v int64) *writer {
+	w.b = strconv.AppendInt(w.b, v, 10)
+	return w
+}
+
+// nums renders a slice as fmt's %v does: "[a b c]".
+func (w *writer) nums(vs []int) *writer {
+	w.b = append(w.b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			w.b = append(w.b, ' ')
+		}
+		w.b = strconv.AppendInt(w.b, int64(v), 10)
+	}
+	w.b = append(w.b, ']')
+	return w
+}
+
+// sig writes the VHDL signal for a virtual register.
+func (w *writer) sig(r vm.Reg) *writer { return w.str("vr").num(int(r)) }
+
+func (w *writer) slv(width int) *writer {
+	return w.str("std_logic_vector(").num(width - 1).str(" downto 0)")
+}
+
+func (w *writer) String() string { return string(w.b) }
+
+// sigName is the VHDL signal for a virtual register.
+func sigName(r vm.Reg) string { return "vr" + strconv.Itoa(int(r)) }
+
+// operand writes a vm operand as a numeric_std expression of the given
+// width.
+func (w *writer) operand(d *dp.Datapath, o vm.Operand, signed bool, width int) *writer {
 	if o.IsImm {
-		if signed {
-			return fmt.Sprintf("to_signed(%d, %d)", o.Imm, w)
+		switch {
+		case signed:
+			return w.str("to_signed(").num64(o.Imm).str(", ").num(width).str(")")
+		case o.Imm < 0:
+			return w.str("unsigned(to_signed(").num64(o.Imm).str(", ").num(width).str("))")
 		}
-		if o.Imm < 0 {
-			return fmt.Sprintf("unsigned(to_signed(%d, %d))", o.Imm, w)
-		}
-		return fmt.Sprintf("to_unsigned(%d, %d)", o.Imm, w)
+		return w.str("to_unsigned(").num64(o.Imm).str(", ").num(width).str(")")
 	}
 	def := d.DefOf[o.Reg]
 	srcW := 32
@@ -70,85 +113,78 @@ func operand(d *dp.Datapath, o vm.Operand, signed bool, w int) string {
 		srcW = def.Width
 		srcSigned = def.Signed
 	}
-	base := sigName(o.Reg)
-	var typed string
+	typed := "unsigned("
 	if srcSigned {
-		typed = fmt.Sprintf("signed(%s)", base)
-	} else {
-		typed = fmt.Sprintf("unsigned(%s)", base)
+		typed = "signed("
 	}
-	if srcSigned != signed {
+	switch {
+	case srcSigned != signed:
 		// Re-interpret after resizing in the source domain.
+		domain := "unsigned(resize("
 		if signed {
-			typed = fmt.Sprintf("signed(resize(%s, %d))", typed, w)
-		} else {
-			typed = fmt.Sprintf("unsigned(resize(%s, %d))", typed, w)
+			domain = "signed(resize("
 		}
-		return typed
+		return w.str(domain).str(typed).sig(o.Reg).str("), ").num(width).str("))")
+	case srcW != width:
+		return w.str("resize(").str(typed).sig(o.Reg).str("), ").num(width).str(")")
 	}
-	if srcW != w {
-		return fmt.Sprintf("resize(%s, %d)", typed, w)
-	}
-	return typed
+	return w.str(typed).sig(o.Reg).str(")")
 }
 
-// opExpr renders the combinational expression computing op's value.
-func opExpr(d *dp.Datapath, op *dp.Op) string {
+// binOps are the infix VHDL operators of the two-operand opcodes.
+var binOps = map[vm.Opcode]string{
+	vm.ADD: " + ", vm.SUB: " - ", vm.REM: " rem ",
+	vm.AND: " and ", vm.IOR: " or ", vm.XOR: " xor ",
+}
+
+// cmpOps are the VHDL relations of the comparison opcodes.
+var cmpOps = map[vm.Opcode]string{vm.SEQ: " = ", vm.SNE: " /= ", vm.SLT: " < ", vm.SLE: " <= "}
+
+// opExpr writes the combinational expression computing op's value.
+func (w *writer) opExpr(d *dp.Datapath, op *dp.Op) *writer {
 	in := op.Instr
-	w := op.Width
-	s := op.Signed
-	a := func() string { return operand(d, in.Srcs[0], s, w) }
-	b := func() string { return operand(d, in.Srcs[1], s, w) }
-	cast := "std_logic_vector"
+	width, s := op.Width, op.Signed
+	const cast = "std_logic_vector("
 	switch in.Op {
 	case vm.MOV, vm.LDC, vm.CVT:
-		return fmt.Sprintf("%s(%s)", cast, operand(d, in.Srcs[0], s, w))
-	case vm.ADD:
-		return fmt.Sprintf("%s(%s + %s)", cast, a(), b())
-	case vm.SUB:
-		return fmt.Sprintf("%s(%s - %s)", cast, a(), b())
+		return w.str(cast).operand(d, in.Srcs[0], s, width).str(")")
+	case vm.ADD, vm.SUB, vm.REM, vm.AND, vm.IOR, vm.XOR:
+		return w.str(cast).operand(d, in.Srcs[0], s, width).str(binOps[in.Op]).
+			operand(d, in.Srcs[1], s, width).str(")")
 	case vm.MUL:
-		return fmt.Sprintf("%s(resize(%s * %s, %d))", cast, a(), b(), w)
+		return w.str(cast+"resize(").operand(d, in.Srcs[0], s, width).str(" * ").
+			operand(d, in.Srcs[1], s, width).str(", ").num(width).str("))")
 	case vm.DIV:
 		// "All arithmetic opcodes ... with the exception of division":
 		// division instantiates a divider component; the inline form is
 		// emitted for simulation-only builds.
-		return fmt.Sprintf("%s(%s / %s) -- divider core instantiation", cast, a(), b())
-	case vm.REM:
-		return fmt.Sprintf("%s(%s rem %s)", cast, a(), b())
-	case vm.AND:
-		return fmt.Sprintf("%s(%s and %s)", cast, a(), b())
-	case vm.IOR:
-		return fmt.Sprintf("%s(%s or %s)", cast, a(), b())
-	case vm.XOR:
-		return fmt.Sprintf("%s(%s xor %s)", cast, a(), b())
+		return w.str(cast).operand(d, in.Srcs[0], s, width).str(" / ").
+			operand(d, in.Srcs[1], s, width).str(") -- divider core instantiation")
 	case vm.NOT:
-		return fmt.Sprintf("%s(not %s)", cast, a())
+		return w.str(cast+"not ").operand(d, in.Srcs[0], s, width).str(")")
 	case vm.NEG:
-		return fmt.Sprintf("%s(-%s)", cast, operand(d, in.Srcs[0], true, w))
-	case vm.SHL:
-		return fmt.Sprintf("%s(shift_left(%s, to_integer(%s)))", cast, a(),
-			operand(d, in.Srcs[1], false, 6))
-	case vm.SHR:
-		return fmt.Sprintf("%s(shift_right(%s, to_integer(%s)))", cast, a(),
-			operand(d, in.Srcs[1], false, 6))
-	case vm.SEQ, vm.SNE, vm.SLT, vm.SLE:
-		wCmp := cmpWidth(d, in)
-		sCmp := cmpSigned(d, in)
-		x := operand(d, in.Srcs[0], sCmp, wCmp)
-		y := operand(d, in.Srcs[1], sCmp, wCmp)
-		rel := map[vm.Opcode]string{vm.SEQ: "=", vm.SNE: "/=", vm.SLT: "<", vm.SLE: "<="}[in.Op]
-		return fmt.Sprintf("\"1\" when %s %s %s else \"0\"", x, rel, y)
-	case vm.MUX:
-		sel := sigName(in.Srcs[0].Reg)
-		if in.Srcs[0].IsImm {
-			sel = fmt.Sprintf("\"%d\"", in.Srcs[0].Imm&1)
+		return w.str(cast+"-").operand(d, in.Srcs[0], true, width).str(")")
+	case vm.SHL, vm.SHR:
+		fn := "shift_left("
+		if in.Op == vm.SHR {
+			fn = "shift_right("
 		}
-		t := fmt.Sprintf("std_logic_vector(%s)", operand(d, in.Srcs[1], s, w))
-		f := fmt.Sprintf("std_logic_vector(%s)", operand(d, in.Srcs[2], s, w))
-		return fmt.Sprintf("%s when %s = \"1\" else %s", t, sel, f)
+		return w.str(cast+fn).operand(d, in.Srcs[0], s, width).str(", to_integer(").
+			operand(d, in.Srcs[1], false, 6).str(")))")
+	case vm.SEQ, vm.SNE, vm.SLT, vm.SLE:
+		wCmp, sCmp := cmpWidth(d, in), cmpSigned(d, in)
+		return w.str(`"1" when `).operand(d, in.Srcs[0], sCmp, wCmp).str(cmpOps[in.Op]).
+			operand(d, in.Srcs[1], sCmp, wCmp).str(` else "0"`)
+	case vm.MUX:
+		w.str(cast).operand(d, in.Srcs[1], s, width).str(") when ")
+		if in.Srcs[0].IsImm {
+			w.str(`"`).num64(in.Srcs[0].Imm & 1).str(`"`)
+		} else {
+			w.sig(in.Srcs[0].Reg)
+		}
+		return w.str(` = "1" else `+cast).operand(d, in.Srcs[2], s, width).str(")")
 	default:
-		return "(others => '0')"
+		return w.str("(others => '0')")
 	}
 }
 
@@ -187,24 +223,27 @@ func cmpSigned(d *dp.Datapath, in *vm.Instr) bool {
 // process holding the pipeline registers and feedback latches, and ROM
 // instantiations for LUT ops.
 func emitTop(d *dp.Datapath) string {
-	var b strings.Builder
+	w := newWriter(1024 + 192*len(d.Ops))
 	name := d.Name + "_dp"
-	b.WriteString("library IEEE;\nuse IEEE.std_logic_1164.all;\nuse IEEE.numeric_std.all;\n\n")
-	fmt.Fprintf(&b, "-- Generated by the ROCCC reproduction: pipelined data path %q\n", d.Name)
-	fmt.Fprintf(&b, "-- %d ops, %d pipeline stages, target period %.2f ns\n\n", d.NumOps(), d.Stages, d.Period)
-	fmt.Fprintf(&b, "entity %s is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n", name)
+	w.str(ieeeHeader)
+	w.str("-- Generated by the ROCCC reproduction: pipelined data path ")
+	w.b = strconv.AppendQuote(w.b, d.Name)
+	w.str("\n-- ").num(d.NumOps()).str(" ops, ").num(d.Stages).str(" pipeline stages, target period ")
+	w.b = strconv.AppendFloat(w.b, d.Period, 'f', 2, 64)
+	w.str(" ns\n\n")
+	w.str("entity ").str(name).str(" is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n")
 	for _, p := range d.Inputs {
-		fmt.Fprintf(&b, "    %s : in %s;  -- %s\n", sigName(p.Reg), slv(p.Width), p.Var.Name)
+		w.str("    ").sig(p.Reg).str(" : in ").slv(p.Width).str(";  -- ").str(p.Var.Name).str("\n")
 	}
 	for i, p := range d.Outputs {
 		sep := ";"
 		if i == len(d.Outputs)-1 {
 			sep = ""
 		}
-		fmt.Fprintf(&b, "    %s_out : out %s%s  -- %s\n", sigName(p.Reg), slv(p.Width), sep, p.Var.Name)
+		w.str("    ").sig(p.Reg).str("_out : out ").slv(p.Width).str(sep).str("  -- ").str(p.Var.Name).str("\n")
 	}
-	b.WriteString("  );\nend entity;\n\n")
-	fmt.Fprintf(&b, "architecture rtl of %s is\n", name)
+	w.str("  );\nend entity;\n\n")
+	w.str("architecture rtl of ").str(name).str(" is\n")
 
 	// Wire declarations: every op's result ("every virtual register ...
 	// converted into wires"). Latched ops also get a registered copy.
@@ -212,65 +251,63 @@ func emitTop(d *dp.Datapath) string {
 		if op.Node.Kind == dp.InputNode || !op.Instr.Op.HasDst() {
 			continue
 		}
-		fmt.Fprintf(&b, "  signal %s : %s;\n", sigName(op.Instr.Dst), slv(op.Width))
+		w.str("  signal ").sig(op.Instr.Dst).str(" : ").slv(op.Width).str(";\n")
 		if op.Latched {
-			fmt.Fprintf(&b, "  signal %s_q : %s;\n", sigName(op.Instr.Dst), slv(op.Width))
+			w.str("  signal ").sig(op.Instr.Dst).str("_q : ").slv(op.Width).str(";\n")
 		}
 	}
 	for _, fb := range d.Feedbacks {
-		fmt.Fprintf(&b, "  signal fb_%s : %s; -- feedback latch (LPR/SNX)\n",
-			fb.State.Name, slv(fb.State.Type.Bits))
+		w.str("  signal fb_").str(fb.State.Name).str(" : ").slv(fb.State.Type.Bits).str("; -- feedback latch (LPR/SNX)\n")
 	}
-	b.WriteString("begin\n")
+	w.str("begin\n")
 
 	// Node-by-node concurrent statements, grouped with comments that
 	// preserve the soft/mux/pipe structure of §4.2.2.
-	nodes := append([]*dp.Node{}, d.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+	nodes := slices.Clone(d.Nodes)
+	slices.SortFunc(nodes, func(a, b *dp.Node) int { return a.ID - b.ID })
 	for _, n := range nodes {
 		if n.Kind == dp.InputNode {
 			continue
 		}
-		fmt.Fprintf(&b, "\n  -- node %d (%s, level %d)\n", n.ID, n.Kind, n.Level)
+		w.str("\n  -- node ").num(n.ID).str(" (").str(n.Kind.String()).str(", level ").num(n.Level).str(")\n")
 		for _, op := range n.Ops {
 			in := op.Instr
 			switch in.Op {
 			case vm.SNX:
-				fmt.Fprintf(&b, "  -- snx %s feeds the feedback latch in the clocked process\n", in.State.Name)
+				w.str("  -- snx ").str(in.State.Name).str(" feeds the feedback latch in the clocked process\n")
 			case vm.LPR:
-				fmt.Fprintf(&b, "  %s <= fb_%s;\n", sigName(in.Dst), in.State.Name)
+				w.str("  ").sig(in.Dst).str(" <= fb_").str(in.State.Name).str(";\n")
 			case vm.LUT:
-				fmt.Fprintf(&b, "  u_%s_%d: entity work.rom_%s port map (addr => %s, data => %s);\n",
-					in.Rom.Name, op.ID, in.Rom.Name, sigName(in.Srcs[0].Reg), sigName(in.Dst))
+				w.str("  u_").str(in.Rom.Name).str("_").num(op.ID).str(": entity work.rom_").str(in.Rom.Name).
+					str(" port map (addr => ").sig(in.Srcs[0].Reg).str(", data => ").sig(in.Dst).str(");\n")
 			default:
-				fmt.Fprintf(&b, "  %s <= %s;\n", sigName(in.Dst), opExpr(d, op))
+				w.str("  ").sig(in.Dst).str(" <= ").opExpr(d, op).str(";\n")
 			}
 		}
 	}
 
 	// Clocked process: pipeline registers and feedback latches (§4.2.3).
-	b.WriteString("\n  pipeline: process(clk)\n  begin\n    if rising_edge(clk) then\n      if rst = '1' then\n")
+	w.str("\n  pipeline: process(clk)\n  begin\n    if rising_edge(clk) then\n      if rst = '1' then\n")
 	for _, fb := range d.Feedbacks {
-		fmt.Fprintf(&b, "        fb_%s <= std_logic_vector(to_signed(%d, %d));\n",
-			fb.State.Name, fb.Init, fb.State.Type.Bits)
+		w.str("        fb_").str(fb.State.Name).str(" <= std_logic_vector(to_signed(").num64(fb.Init).
+			str(", ").num(fb.State.Type.Bits).str("));\n")
 	}
-	b.WriteString("      else\n")
+	w.str("      else\n")
 	for _, op := range d.Ops {
 		if op.Latched && op.Instr.Op.HasDst() {
-			fmt.Fprintf(&b, "        %s_q <= %s;\n", sigName(op.Instr.Dst), sigName(op.Instr.Dst))
+			w.str("        ").sig(op.Instr.Dst).str("_q <= ").sig(op.Instr.Dst).str(";\n")
 		}
 	}
 	for _, fb := range d.Feedbacks {
-		src := fb.SNX.Instr.Srcs[0]
-		fmt.Fprintf(&b, "        fb_%s <= %s;\n", fb.State.Name, sigName(src.Reg))
+		w.str("        fb_").str(fb.State.Name).str(" <= ").sig(fb.SNX.Instr.Srcs[0].Reg).str(";\n")
 	}
-	b.WriteString("      end if;\n    end if;\n  end process;\n\n")
+	w.str("      end if;\n    end if;\n  end process;\n\n")
 
 	for _, p := range d.Outputs {
-		fmt.Fprintf(&b, "  %s_out <= %s;\n", sigName(p.Reg), sigName(p.Reg))
+		w.str("  ").sig(p.Reg).str("_out <= ").sig(p.Reg).str(";\n")
 	}
-	b.WriteString("end architecture;\n")
-	return b.String()
+	w.str("end architecture;\n")
+	return w.String()
 }
 
 // EmitRom renders a ROM component plus its plain-text init file contents
@@ -278,34 +315,34 @@ func emitTop(d *dp.Datapath) string {
 // ROM IP core unit in the VHDL code. The only thing the user needs to do
 // is to edit a pure text initialization file").
 func EmitRom(r *hir.Rom) File {
-	var b strings.Builder
-	b.WriteString("library IEEE;\nuse IEEE.std_logic_1164.all;\nuse IEEE.numeric_std.all;\n\n")
+	w := newWriter(512 + 56*len(r.Content))
+	w.str(ieeeHeader)
 	addrW := 1
 	for 1<<uint(addrW) < r.Size {
 		addrW++
 	}
-	fmt.Fprintf(&b, "entity rom_%s is\n  port (\n    addr : in std_logic_vector(%d downto 0);\n    data : out std_logic_vector(%d downto 0)\n  );\nend entity;\n\n",
-		r.Name, addrW-1, r.Elem.Bits-1)
-	fmt.Fprintf(&b, "architecture rtl of rom_%s is\n", r.Name)
-	fmt.Fprintf(&b, "  type rom_t is array (0 to %d) of std_logic_vector(%d downto 0);\n", r.Size-1, r.Elem.Bits-1)
-	b.WriteString("  constant CONTENT : rom_t := (\n")
+	w.str("entity rom_").str(r.Name).str(" is\n  port (\n    addr : in ").slv(addrW).
+		str(";\n    data : out ").slv(r.Elem.Bits).str("\n  );\nend entity;\n\n")
+	w.str("architecture rtl of rom_").str(r.Name).str(" is\n")
+	w.str("  type rom_t is array (0 to ").num(r.Size - 1).str(") of ").slv(r.Elem.Bits).str(";\n")
+	w.str("  constant CONTENT : rom_t := (\n")
 	for i, v := range r.Content {
-		sep := ","
-		if i == len(r.Content)-1 {
-			sep = ""
+		w.str("    ").num(i).str(" => std_logic_vector(to_signed(").num64(v).str(", ").num(r.Elem.Bits).str("))")
+		if i < len(r.Content)-1 {
+			w.str(",")
 		}
-		fmt.Fprintf(&b, "    %d => std_logic_vector(to_signed(%d, %d))%s\n", i, v, r.Elem.Bits, sep)
+		w.str("\n")
 	}
-	b.WriteString("  );\nbegin\n  data <= CONTENT(to_integer(unsigned(addr)));\nend architecture;\n")
-	return File{Name: "rom_" + r.Name + ".vhd", Content: b.String()}
+	w.str("  );\nbegin\n  data <= CONTENT(to_integer(unsigned(addr)));\nend architecture;\n")
+	return File{Name: "rom_" + r.Name + ".vhd", Content: w.String()}
 }
 
 // RomInitFile renders the plain-text initialization file for a ROM.
 func RomInitFile(r *hir.Rom) File {
-	var b strings.Builder
-	fmt.Fprintf(&b, "-- init file for lookup table %s: %d x %d bits\n", r.Name, r.Size, r.Elem.Bits)
+	w := newWriter(96 + 12*len(r.Content))
+	w.str("-- init file for lookup table ").str(r.Name).str(": ").num(r.Size).str(" x ").num(r.Elem.Bits).str(" bits\n")
 	for _, v := range r.Content {
-		fmt.Fprintf(&b, "%d\n", v)
+		w.num64(v).str("\n")
 	}
-	return File{Name: r.Name + ".init", Content: b.String()}
+	return File{Name: r.Name + ".init", Content: w.String()}
 }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"roccc/internal/cc"
 	"roccc/internal/core"
+	"roccc/internal/hir"
 	"roccc/internal/smartbuf"
 )
 
@@ -196,5 +198,28 @@ func TestBalancedParens(t *testing.T) {
 	}
 	if strings.Count(v, "process") != 2 { // declaration + end process
 		t.Errorf("process count = %d", strings.Count(v, "process"))
+	}
+}
+
+// TestEmitAllocations bounds the emitter's allocations: per unit, its
+// file name, one pre-sized buffer and the buffer's string, whatever the
+// unit's size. A ROM with 256 entries costs what an 8-entry one does.
+func TestEmitAllocations(t *testing.T) {
+	res, err := core.CompileSource(firSource, "fir", core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Plus the file slice and the node order.
+	if n := testing.AllocsPerRun(20, func() { EmitDatapath(res.Datapath) }); n > 5 {
+		t.Errorf("EmitDatapath(fir) allocates %v times, want <= 5", n)
+	}
+	for _, size := range []int{8, 256} {
+		r := &hir.Rom{Name: "tab", Elem: cc.IntType{Bits: 16, Signed: true}, Size: size, Content: make([]int64, size)}
+		for i := range r.Content {
+			r.Content[i] = int64(i*37 - 4000)
+		}
+		if n := testing.AllocsPerRun(20, func() { EmitRom(r); RomInitFile(r) }); n > 6 {
+			t.Errorf("EmitRom+RomInitFile(%d entries) allocate %v times, want <= 6", size, n)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package vm
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"roccc/internal/cc"
@@ -142,15 +143,16 @@ func (in *Instr) ShiftOperandType() cc.IntType {
 	return in.Typ
 }
 
-// Uses returns the register operands read by the instruction.
-func (in *Instr) Uses() []Reg {
-	var rs []Reg
-	for _, s := range in.Srcs {
-		if !s.IsImm && s.Reg != 0 {
-			rs = append(rs, s.Reg)
+// Uses yields the register operands read by the instruction, in
+// operand order, without allocating.
+func (in *Instr) Uses() iter.Seq[Reg] {
+	return func(yield func(Reg) bool) {
+		for _, s := range in.Srcs {
+			if !s.IsImm && s.Reg != 0 && !yield(s.Reg) {
+				return
+			}
 		}
 	}
-	return rs
 }
 
 // String renders the instruction in a readable assembly syntax.

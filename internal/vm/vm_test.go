@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -38,10 +39,25 @@ func TestInstrClone(t *testing.T) {
 }
 
 func TestInstrUses(t *testing.T) {
-	in := &Instr{Op: MUX, Srcs: []Operand{R(1), Imm(5), R(2)}}
-	uses := in.Uses()
-	if len(uses) != 2 || uses[0] != 1 || uses[1] != 2 {
-		t.Errorf("uses = %v", uses)
+	in := &Instr{Op: MUX, Srcs: []Operand{R(1), Imm(5), R(2), R(0)}}
+	if uses := slices.Collect(in.Uses()); !slices.Equal(uses, []Reg{1, 2}) {
+		t.Errorf("uses = %v, want [vr1 vr2]", uses)
+	}
+	// Stopping early ends the walk.
+	var first []Reg
+	for r := range in.Uses() {
+		first = append(first, r)
+		break
+	}
+	if !slices.Equal(first, []Reg{1}) {
+		t.Errorf("first use = %v, want [vr1]", first)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for r := range in.Uses() {
+			_ = r
+		}
+	}); n != 0 {
+		t.Errorf("walking Uses allocates %v times, want 0", n)
 	}
 }
 
