@@ -475,14 +475,23 @@ func BenchmarkAblations(b *testing.B) {
 //   - tcp-pipelined: several request slots multiplexed over ONE v2
 //     pipelined connection — the Serve v2 headline. Requests overlap in
 //     flight on a single socket, so the per-stream round-trip latency
-//     amortizes away; CI gates this against tcp-serial (serve2 group).
+//     amortizes away; CI gates this against tcp-serial (serve2 group)
+//     and holds it at 0 allocs/op: request, stream and response scratch
+//     are recycled on both ends of the wire.
+//   - tcp-pipelined-bulk: the same pipelined connection carrying
+//     4-stream requests of the 4096-sample FIR (exp.LongFIRSource), the
+//     bulk shape whose cost is the codec moving arrays; it reports
+//     verified-shape input elements/s.
 func BenchmarkServeThroughput(b *testing.B) {
 	srv := serve.NewServer(0)
-	if err := srv.Register(serve.KernelSpec{
-		Name: "fir", Source: exp.Fig3Source, Func: "fir",
-		Options: DefaultOptions(), Config: netlist.Config{BusElems: 1},
-	}); err != nil {
-		b.Fatal(err)
+	for _, spec := range []serve.KernelSpec{
+		{Name: "fir", Source: exp.Fig3Source, Func: "fir"},
+		{Name: "fir4k", Source: exp.LongFIRSource, Func: "fir"},
+	} {
+		spec.Options, spec.Config = DefaultOptions(), netlist.Config{BusElems: 1}
+		if err := srv.Register(spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -495,11 +504,11 @@ func BenchmarkServeThroughput(b *testing.B) {
 		srv.Shutdown(ctx)
 	}()
 
-	mkJobs := func(n int) []netlist.Job {
+	mkJobsN := func(n, elems int) []netlist.Job {
 		jobs := make([]netlist.Job, n)
 		for j := range jobs {
 			rng := rand.New(rand.NewSource(int64(j + 1)))
-			in := make([]int64, 21)
+			in := make([]int64, elems)
 			for i := range in {
 				in[i] = rng.Int63n(255) - 128
 			}
@@ -507,6 +516,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		}
 		return jobs
 	}
+	mkJobs := func(n int) []netlist.Job { return mkJobsN(n, 21) }
 
 	b.Run("inproc", func(b *testing.B) {
 		client := srv.Local()
@@ -580,37 +590,62 @@ func BenchmarkServeThroughput(b *testing.B) {
 		wg.Wait()
 	})
 	b.Run("tcp-pipelined", func(b *testing.B) {
-		conn, err := serve.DialPipelined(ln.Addr().String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer conn.Close()
-		slots := min(8, max(2, runtime.GOMAXPROCS(0)))
-		warm := mkJobs(1)
-		if err := conn.Run("fir", warm); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
+		runPipelined(b, ln.Addr().String(), "fir", 1, func() []netlist.Job { return mkJobs(1) })
+	})
+	b.Run("tcp-pipelined-bulk", func(b *testing.B) {
+		const streams, elems = 4, 4100 // fir4k reads A[0..4099]
+		runPipelined(b, ln.Addr().String(), "fir4k", streams, func() []netlist.Job { return mkJobsN(streams, elems) })
+		b.ReportMetric(float64(b.N)*elems/b.Elapsed().Seconds(), "elements/s")
+	})
+}
+
+// runPipelined drives one pipelined connection from several request
+// slots, each reusing its own batch of per-request streams; one
+// benchmark op is one served stream (the last request of a slot is
+// truncated so b.N streams run exactly).
+func runPipelined(b *testing.B, addr, kernel string, perReq int, mk func() []netlist.Job) {
+	conn, err := serve.DialPipelined(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	slots := min(8, max(2, runtime.GOMAXPROCS(0)))
+	batches := make([][]netlist.Job, slots)
+	for i := range batches {
+		batches[i] = mk()
+	}
+	var failed atomic.Bool
+	// requests runs total streams from every slot at once.
+	requests := func(total int) {
 		var wg sync.WaitGroup
 		var next atomic.Int64
-		var failed atomic.Bool
-		for i := 0; i < slots; i++ {
+		for i := range batches {
 			wg.Add(1)
-			go func() {
+			go func(jobs []netlist.Job) {
 				defer wg.Done()
-				jobs := mkJobs(1)
-				for int(next.Add(1)) <= b.N {
-					if err := conn.Run("fir", jobs); err != nil {
+				for {
+					n := int(next.Add(int64(perReq)))
+					k := min(perReq, total-(n-perReq))
+					if k <= 0 {
+						return
+					}
+					if err := conn.Run(kernel, jobs[:k]); err != nil {
 						if failed.CompareAndSwap(false, true) {
 							b.Error(err)
 						}
 						return
 					}
 				}
-			}()
+			}(batches[i])
 		}
 		wg.Wait()
-	})
+	}
+	// Warm-up at the timed loop's concurrency compiles the kernel and
+	// sizes both ends' reusable buffers.
+	requests(4 * slots * perReq)
+	b.ReportAllocs()
+	b.ResetTimer()
+	requests(b.N)
 }
 
 // BenchmarkFleetRouter measures the fleet placement layer's overhead on

@@ -85,15 +85,14 @@ type Conn struct {
 	rbuf []byte
 	next uint32
 
-	// Pipelined (v2) state. encs pools per-request frame encoders; wmu
-	// makes each frame a single uninterleaved Write; pmu guards the
-	// pending demux table and the latched transport error; slots, when
-	// non-nil, is the client-side request-slot semaphore
-	// (WithPipelined(n) with n > 0).
+	// Pipelined (v2) state. wmu keeps each Write whole — a request's
+	// frames go out in one Write, never interleaved with another
+	// request's; pmu guards the pending demux table and the latched
+	// transport error; slots, when non-nil, is the client-side
+	// request-slot semaphore (WithPipelined(n) with n > 0).
 	pipelined  bool
 	hsVersion  uint16
 	slots      chan struct{}
-	encs       sync.Pool
 	wmu        sync.Mutex
 	pmu        sync.Mutex
 	pending    map[uint32]*pending
@@ -108,7 +107,8 @@ type Conn struct {
 // RunContext cancellation against the reader's in-progress decode: once
 // cancelled is set the reader drops the request's remaining frames
 // without touching jobs, so the caller may reuse its Job buffers the
-// moment RunContext returns.
+// moment RunContext returns. Pendings (and their done channels) are
+// recycled through pendPool once their request retired normally.
 type pending struct {
 	kernel   string
 	jobs     []netlist.Job
@@ -118,6 +118,34 @@ type pending struct {
 
 	mu        sync.Mutex
 	cancelled bool
+}
+
+var pendPool = sync.Pool{New: func() any { return &pending{done: make(chan error, 1)} }}
+
+func getPending(kernel string, jobs []netlist.Job, ping bool) *pending {
+	p := pendPool.Get().(*pending)
+	p.kernel, p.jobs, p.answered, p.ping, p.cancelled = kernel, jobs, 0, ping, false
+	return p
+}
+
+// wait parks until p's request reaches its terminal status and recycles
+// p. A request retired by abort is not recycled: the reader may still
+// hold p mid-decode, so it is left to the garbage collector.
+func (c *Conn) wait(p *pending) error {
+	err := <-p.done
+	c.release(p)
+	return err
+}
+
+// release recycles a pending whose status has been received.
+func (c *Conn) release(p *pending) {
+	c.pmu.Lock()
+	healthy := c.rerr == nil
+	c.pmu.Unlock()
+	if healthy {
+		p.kernel, p.jobs = "", nil
+		pendPool.Put(p)
+	}
 }
 
 // DialOption configures DialContext.
@@ -187,7 +215,6 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, e
 	if cfg.slots > 0 {
 		c.slots = make(chan struct{}, cfg.slots)
 	}
-	c.encs.New = func() any { return new(encoder) }
 	// The handshake round trip honours the context: a cancelled ctx
 	// closes the socket under the blocked read.
 	var stop func() bool
@@ -287,18 +314,19 @@ func (c *Conn) Ping() error {
 	if !c.pipelined {
 		return fmt.Errorf("serve: Ping requires a pipelined connection (DialPipelined)")
 	}
-	p := &pending{ping: true, done: make(chan error, 1)}
+	p := getPending("", nil, true)
 	req, err := c.register(p)
 	if err != nil {
 		return err
 	}
-	e := c.encs.Get().(*encoder)
+	e := getEncoder()
 	e.begin(frameKeepAlive, req)
-	if err := c.writeFrame(e); err != nil {
+	err = c.write(e.finish())
+	putEncoder(e)
+	if err != nil {
 		c.abort(fmt.Errorf("serve: sending keepalive: %w", err))
-		return <-p.done
 	}
-	return <-p.done
+	return c.wait(p)
 }
 
 // register installs a pending request under a fresh request id,
@@ -315,14 +343,40 @@ func (c *Conn) register(p *pending) (uint32, error) {
 	return req, nil
 }
 
-// writeFrame writes one finished frame under the write lock and returns
-// the encoder to the pool.
-func (c *Conn) writeFrame(e *encoder) error {
+// write sends whole frames in one Write under the write lock.
+func (c *Conn) write(frames []byte) error {
 	c.wmu.Lock()
-	_, err := c.c.Write(e.finish())
+	_, err := c.c.Write(frames)
 	c.wmu.Unlock()
-	c.encs.Put(e)
 	return err
+}
+
+// send encodes a request's 'O' frame and all its 'S' frames into one
+// buffer and writes it at once, flushing early only when the buffered
+// frames pass bufHighWater.
+func (c *Conn) send(req uint32, kernel string, streams []netlist.Job) error {
+	e := getEncoder()
+	defer putEncoder(e)
+	e.begin(frameOpen, req)
+	e.str8(kernel)
+	e.u32(uint32(len(streams)))
+	for i := range streams {
+		if len(e.buf) > bufHighWater {
+			if err := c.write(e.finish()); err != nil {
+				return err
+			}
+			e.begin(frameStream, req)
+		} else {
+			e.next(frameStream, req)
+		}
+		e.u32(uint32(i))
+		e.u16(uint16(len(streams[i].Inputs)))
+		for name, vals := range streams[i].Inputs {
+			e.str8(name)
+			e.vals(vals)
+		}
+	}
+	return c.write(e.finish())
 }
 
 // abort poisons a pipelined Conn: the error latches, every in-flight
@@ -342,12 +396,18 @@ func (c *Conn) abort(err error) {
 	c.c.Close()
 }
 
-// complete retires one pipelined request with its final status.
+// complete retires one pipelined request with its final status, unless
+// an abort retired it first (one status per request: done holds one).
 func (c *Conn) complete(req uint32, p *pending, err error) {
 	c.pmu.Lock()
-	delete(c.pending, req)
+	live := c.pending[req] == p
+	if live {
+		delete(c.pending, req)
+	}
 	c.pmu.Unlock()
-	p.done <- err
+	if live {
+		p.done <- err
+	}
 }
 
 // completeRequestError retires one request with a server-reported
@@ -421,10 +481,7 @@ func (c *Conn) Run(kernel string, streams []netlist.Job) (err error) {
 		if rerr != nil {
 			return fmt.Errorf("serve: reading response: %w", rerr)
 		}
-		c.rbuf = payload[:cap(payload)]
-		if cap(c.rbuf) > bufHighWater && len(payload) < bufHighWater/4 {
-			c.rbuf = nil // small traffic again: stop pinning the high-water scratch
-		}
+		c.rbuf = scratch(payload)
 		d := decoder{b: payload}
 		typ := d.u8()
 		gotReq := d.u32()
@@ -533,49 +590,32 @@ func (c *Conn) runPipelined(ctx context.Context, kernel string, streams []netlis
 	for i := range streams {
 		streams[i].Err = nil
 	}
-	p := &pending{kernel: kernel, jobs: streams, done: make(chan error, 1)}
+	p := getPending(kernel, streams, false)
 	req, err := c.register(p)
 	if err != nil {
 		return err
 	}
-	e := c.encs.Get().(*encoder)
-	e.begin(frameOpen, req)
-	e.str8(kernel)
-	e.u32(uint32(len(streams)))
-	if err := c.writeFrame(e); err != nil {
+	if err := c.send(req, kernel, streams); err != nil {
 		c.abort(fmt.Errorf("serve: sending request: %w", err))
-		return <-p.done
-	}
-	for i := range streams {
-		e := c.encs.Get().(*encoder)
-		e.begin(frameStream, req)
-		e.u32(uint32(i))
-		e.u16(uint16(len(streams[i].Inputs)))
-		for name, vals := range streams[i].Inputs {
-			e.str8(name)
-			e.vals(vals)
-		}
-		if err := c.writeFrame(e); err != nil {
-			c.abort(fmt.Errorf("serve: sending request: %w", err))
-			return <-p.done
-		}
+		return c.wait(p)
 	}
 	// Every frame is sent, so the server owes exactly one terminal
 	// frame; cancellation waits only here — aborting mid-send would
 	// leave the server's owed-stream accounting dangling.
 	var derr error
 	if ctx.Done() == nil {
-		derr = <-p.done
+		derr = c.wait(p)
 	} else {
 		select {
 		case derr = <-p.done:
+			c.release(p)
 		case <-ctx.Done():
 			if c.cancel(req, p) {
-				return ctx.Err()
+				return ctx.Err() // p stays in the demux table: not recycled
 			}
 			// The request reached a terminal state concurrently with
 			// the cancel: take its real result.
-			derr = <-p.done
+			derr = c.wait(p)
 		}
 	}
 	if derr != nil {
@@ -618,10 +658,7 @@ func (c *Conn) readLoop() {
 			c.abort(fmt.Errorf("serve: reading response: %w", err))
 			return
 		}
-		buf = payload[:cap(payload)]
-		if cap(buf) > bufHighWater && len(payload) < bufHighWater/4 {
-			buf = nil // small traffic again: stop pinning the high-water scratch
-		}
+		buf = scratch(payload)
 		if err := c.demux(payload); err != nil {
 			c.abort(err)
 			return
@@ -648,20 +685,20 @@ func (c *Conn) demux(payload []byte) error {
 			// request-level protocol errors poison the connection,
 			// stragglers for retired ids cannot be trusted either.
 			d.u32()
-			return fmt.Errorf("serve: request failed: %s", d.str16())
+			return fmt.Errorf("%w: error for no in-flight request: %s", ErrMalformedFrame, d.str16())
 		}
-		return fmt.Errorf("serve: response for unknown request %d", req)
+		return fmt.Errorf("%w: response for unknown request %d", ErrMalformedFrame, req)
 	}
 	switch typ {
 	case frameKeepAlive:
 		if !p.ping {
-			return fmt.Errorf("serve: keepalive echo for request %d", req)
+			return fmt.Errorf("%w: keepalive echo for request %d", ErrMalformedFrame, req)
 		}
 		c.complete(req, p, nil)
 	case frameResult:
 		idx := int(d.u32())
 		if idx < 0 || idx >= len(p.jobs) {
-			return fmt.Errorf("serve: result for unknown stream %d of request %d", idx, req)
+			return fmt.Errorf("%w: result for unknown stream %d of request %d", ErrMalformedFrame, idx, req)
 		}
 		p.mu.Lock()
 		if !p.cancelled {
@@ -675,7 +712,7 @@ func (c *Conn) demux(payload []byte) error {
 	case frameFault:
 		idx := int(d.u32())
 		if idx < 0 || idx >= len(p.jobs) {
-			return fmt.Errorf("serve: fault for unknown stream %d of request %d", idx, req)
+			return fmt.Errorf("%w: fault for unknown stream %d of request %d", ErrMalformedFrame, idx, req)
 		}
 		p.mu.Lock()
 		if !p.cancelled {
@@ -697,7 +734,7 @@ func (c *Conn) demux(payload []byte) error {
 			return nil
 		}
 		if int(idx) >= len(p.jobs) {
-			return fmt.Errorf("serve: error for unknown stream %d of request %d", idx, req)
+			return fmt.Errorf("%w: error for unknown stream %d of request %d", ErrMalformedFrame, idx, req)
 		}
 		p.mu.Lock()
 		if !p.cancelled {
@@ -707,62 +744,104 @@ func (c *Conn) demux(payload []byte) error {
 		p.answered++
 	case frameDone:
 		if p.answered != len(p.jobs) {
-			return fmt.Errorf("serve: done after %d of %d responses", p.answered, len(p.jobs))
+			return fmt.Errorf("%w: done after %d of %d responses", ErrMalformedFrame, p.answered, len(p.jobs))
 		}
 		c.complete(req, p, nil)
 	default:
-		return fmt.Errorf("serve: unexpected response frame %q", typ)
+		return fmt.Errorf("%w: unexpected response frame %q", ErrMalformedFrame, typ)
 	}
 	return nil
 }
 
 // decodeResultInto fills one stream's Job from a result frame body
-// (after type/req/idx), reusing the Job's buffers when already sized.
+// (after type/req/idx), reusing the Job's buffers when already sized: in
+// the steady state (a Job reused on one kernel) it allocates nothing.
+//
+//roccc:hotpath
 func decodeResultInto(d *decoder, job *netlist.Job) error {
 	job.Cycles = int(d.u64())
 	nouts := int(d.u16())
 	if job.Outputs == nil && nouts > 0 {
 		job.Outputs = make(map[string][]int64, nouts)
 	}
-	// A Job reused across kernels may hold keys this response never
-	// sends; remember the frame's names when the maps were already
-	// populated, and purge everything else afterwards. First fills
-	// (empty maps) skip the bookkeeping entirely.
-	var outNames, fbNames []string
-	collectOut := len(job.Outputs) > 0
+	outs := d.off
 	for i := 0; i < nouts; i++ {
-		name := d.str8()
-		vals := d.valsInto(job.Outputs[name])
+		name := d.bytes8()
+		old, ok := job.Outputs[string(name)]
+		vals := d.valsInto(old)
 		if d.err != nil {
 			break
 		}
-		job.Outputs[name] = vals
-		if collectOut {
-			outNames = append(outNames, name)
+		if !ok || len(vals) != len(old) {
+			job.Outputs[string(name)] = vals // a new key or a resize: allocates the key
 		}
 	}
 	nfb := int(d.u16())
 	if job.Feedbacks == nil && nfb > 0 {
 		job.Feedbacks = make(map[string]int64, nfb)
 	}
-	collectFb := len(job.Feedbacks) > 0
+	fbs := d.off
 	for i := 0; i < nfb; i++ {
-		name := d.str8()
-		job.Feedbacks[name] = d.i64()
-		if collectFb {
-			fbNames = append(fbNames, name)
+		name := d.bytes8()
+		v := d.i64()
+		if d.err != nil {
+			break
 		}
+		setFeedback(job.Feedbacks, name, v)
 	}
 	if d.err != nil {
 		return fmt.Errorf("serve: malformed result frame: %w", d.err)
 	}
+	// A Job reused across kernels may hold keys this response never
+	// sends; purge them against the names the frame carried.
 	if len(job.Outputs) > nouts {
-		purgeStale(job.Outputs, outNames)
+		purgeStale(job.Outputs, d.b, outs, nouts, true)
 	}
 	if len(job.Feedbacks) > nfb {
-		purgeStale(job.Feedbacks, fbNames)
+		purgeStale(job.Feedbacks, d.b, fbs, nfb, false)
 	}
 	return nil
+}
+
+// purgeStale deletes the keys of m that the frame section at off does
+// not carry (see carries).
+func purgeStale[V any](m map[string]V, b []byte, off, count int, vector bool) {
+	for k := range m {
+		if !carries(b, off, count, k, vector) {
+			delete(m, k)
+		}
+	}
+}
+
+// setFeedback stores v under name, reusing the map's own key string
+// when the name is already present (assigning m[string(name)] would
+// allocate the key on every frame).
+func setFeedback(m map[string]int64, name []byte, v int64) {
+	for k := range m {
+		if k == string(name) {
+			m[k] = v
+			return
+		}
+	}
+	m[string(name)] = v
+}
+
+// carries reports whether name is among the count entries of an
+// already-decoded frame section at off: each entry is a u8-counted name
+// followed by a u32-counted i64 vector (vector) or a single i64.
+func carries(b []byte, off, count int, name string, vector bool) bool {
+	d := decoder{b: b, off: off}
+	for i := 0; i < count; i++ {
+		if string(d.bytes8()) == name {
+			return true
+		}
+		n := 1
+		if vector {
+			n = int(d.u32())
+		}
+		d.off += 8 * n
+	}
+	return false
 }
 
 // decodeFaultInto reconstructs the exact typed error a serial
@@ -786,21 +865,4 @@ func streamErrFromMsg(msg string) error {
 		return be
 	}
 	return fmt.Errorf("serve: %s", msg)
-}
-
-// purgeStale deletes map keys that are not in keep (the names one
-// response frame actually carried).
-func purgeStale[V any](m map[string]V, keep []string) {
-	for k := range m {
-		found := false
-		for _, s := range keep {
-			if s == k {
-				found = true
-				break
-			}
-		}
-		if !found {
-			delete(m, k)
-		}
-	}
 }

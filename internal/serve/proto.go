@@ -2,8 +2,11 @@ package serve
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
 // Wire protocol: length-prefixed binary frames over a byte stream.
@@ -45,6 +48,11 @@ import (
 // stream's own: the server stops reading while its per-connection
 // executor is saturated, and a client that stops reading eventually
 // blocks the server's writes.
+//
+// Frames are atomic on the wire, but writes may carry several: a
+// pipelined client sends a request's 'O' and 'S' frames in one write,
+// and the server sends a request's last response together with its 'D'.
+// Readers must not assume one frame per read.
 //
 // Versioning. Protocol v1 (PR 4) is the frame set above minus 'V' and
 // 'K': one request in flight per connection, no negotiation. Protocol
@@ -93,22 +101,71 @@ const maxFrame = 64 << 20
 // strings).
 const maxName = 255
 
-// bufHighWater is the receive-scratch retention bound: after one
-// oversized frame, a long-lived connection's reuse buffer is dropped as
-// soon as traffic returns to small frames, instead of pinning the
-// high-water allocation for the connection's lifetime.
+// bufHighWater is the scratch retention bound of the wire path. After
+// one oversized frame, a long-lived connection's receive buffer is
+// dropped as soon as traffic returns to small frames (scratch); pooled
+// encoders and the server's recycled stream scratch that grew past it
+// are dropped instead of pooled; and a client flushes a request's
+// coalesced frames early once they pass it.
 const bufHighWater = 1 << 20
 
-// encoder builds one frame in a reusable buffer. The length prefix is
-// patched in finish, so frames are written with a single Write call —
-// concurrent responders never interleave partial frames.
+// frameChunk is the step readFrame grows its buffer by while a frame
+// body arrives: a length prefix is only a claim until the bytes exist.
+const frameChunk = 64 << 10
+
+// ErrTruncatedFrame marks a frame whose bytes ended early: the stream
+// closed inside a frame body, or a body ended inside one of its fields.
+// Match with errors.Is.
+var ErrTruncatedFrame = errors.New("serve: truncated frame")
+
+// ErrMalformedFrame marks a frame that breaks the protocol: a zero or
+// oversized length prefix, or a response a pipelined client cannot
+// attribute (unknown frame type, request or stream). Match with
+// errors.Is.
+var ErrMalformedFrame = errors.New("serve: malformed frame")
+
+// encoder builds frames in a reusable buffer. Each frame's length
+// prefix is patched once its body is complete, so a buffer always holds
+// whole frames: writers hand it to one Write, concurrent responders
+// never interleave partial frames, and several frames of one request
+// may share a write.
 type encoder struct {
-	buf []byte
+	buf   []byte
+	start int // offset of the open frame's length prefix
 }
 
+// encPool recycles the encoders that carry stream frames and their
+// responses; putEncoder drops buffers grown past bufHighWater.
+var encPool = sync.Pool{New: func() any { return new(encoder) }}
+
+func getEncoder() *encoder { return encPool.Get().(*encoder) }
+
+func putEncoder(e *encoder) {
+	if cap(e.buf) <= bufHighWater {
+		encPool.Put(e)
+	}
+}
+
+// begin empties the buffer and opens its first frame.
 func (e *encoder) begin(typ byte, req uint32) {
-	e.buf = append(e.buf[:0], 0, 0, 0, 0, typ)
+	e.buf = e.buf[:0]
+	e.open(typ, req)
+}
+
+// next closes the open frame and opens another after it in the buffer.
+func (e *encoder) next(typ byte, req uint32) {
+	e.close()
+	e.open(typ, req)
+}
+
+func (e *encoder) open(typ byte, req uint32) {
+	e.start = len(e.buf)
+	e.buf = append(e.buf, 0, 0, 0, 0, typ)
 	e.u32(req)
+}
+
+func (e *encoder) close() {
+	binary.BigEndian.PutUint32(e.buf[e.start:], uint32(len(e.buf)-e.start-4))
 }
 
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
@@ -133,41 +190,81 @@ func (e *encoder) str16(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// vals appends a u32-counted i64 vector: the buffer grows once, then
+// the block is filled in place, four elements per bounds check.
+//
+//roccc:hotpath
 func (e *encoder) vals(v []int64) {
 	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.i64(x)
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(v))[:off+8*len(v)]
+	b := e.buf[off:]
+	for len(v) >= 4 && len(b) >= 32 {
+		binary.BigEndian.PutUint64(b[0:8], uint64(v[0]))
+		binary.BigEndian.PutUint64(b[8:16], uint64(v[1]))
+		binary.BigEndian.PutUint64(b[16:24], uint64(v[2]))
+		binary.BigEndian.PutUint64(b[24:32], uint64(v[3]))
+		b, v = b[32:], v[4:]
+	}
+	for i, x := range v {
+		binary.BigEndian.PutUint64(b[8*i:], uint64(x))
 	}
 }
 
-// finish patches the length prefix and returns the complete frame.
+// finish closes the open frame and returns every frame in the buffer.
 func (e *encoder) finish() []byte {
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
+	e.close()
 	return e.buf
 }
 
-// readFrame reads one length-prefixed frame payload into buf (grown as
-// needed) and returns the payload.
+// readFrame reads one length-prefixed frame payload into buf's storage
+// and returns the payload; the header is read into the same storage, so
+// a reused buffer makes the read allocation-free. The buffer grows only
+// as body bytes actually arrive, at most frameChunk or the bytes already
+// read at a time, so a hostile length prefix pins no more memory than
+// the bytes sent behind it.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+	buf = slices.Grow(buf[:0], 4)
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("%w: %w", ErrTruncatedFrame, err)
+		}
+		return nil, err // io.EOF: the stream ended cleanly between frames
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n == 0 {
-		return nil, fmt.Errorf("serve: zero-length frame")
+		return nil, fmt.Errorf("%w: zero length", ErrMalformedFrame)
 	}
 	if n > maxFrame {
-		return nil, fmt.Errorf("serve: frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
+		return nil, fmt.Errorf("%w: %d bytes exceed the %d-byte limit", ErrMalformedFrame, n, maxFrame)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	body := buf[:0]
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), max(len(body), frameChunk)))
+		}
+		m, err := r.Read(body[len(body):min(n, cap(body))])
+		body = body[:len(body)+m]
+		if err != nil && len(body) < n {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("%w: %w", ErrTruncatedFrame, err)
+		}
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("serve: truncated frame: %w", err)
+	return body, nil
+}
+
+// scratch returns the receive buffer to keep after a frame: the
+// payload's storage, unless it has grown past bufHighWater and traffic
+// is small again, in which case the next read starts afresh instead of
+// pinning the high-water allocation for the connection's lifetime.
+func scratch(payload []byte) []byte {
+	if cap(payload) > bufHighWater && len(payload) < bufHighWater/4 {
+		return nil
 	}
-	return buf, nil
+	return payload[:cap(payload)]
 }
 
 // decoder walks one frame payload; the first decoding overrun latches
@@ -181,7 +278,7 @@ type decoder struct {
 
 func (d *decoder) fail() {
 	if d.err == nil {
-		d.err = fmt.Errorf("serve: truncated frame body at offset %d", d.off)
+		d.err = fmt.Errorf("%w body at offset %d", ErrTruncatedFrame, d.off)
 	}
 }
 
@@ -227,16 +324,20 @@ func (d *decoder) u64() uint64 {
 
 func (d *decoder) i64() int64 { return int64(d.u64()) }
 
-func (d *decoder) str8() string {
+// bytes8 returns a u8-counted name as a view into the payload: names
+// looked up in a map by string(b) cost no allocation.
+func (d *decoder) bytes8() []byte {
 	n := int(d.u8())
 	if d.err != nil || d.off+n > len(d.b) {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+n])
+	b := d.b[d.off : d.off+n]
 	d.off += n
-	return s
+	return b
 }
+
+func (d *decoder) str8() string { return string(d.bytes8()) }
 
 func (d *decoder) str16() string {
 	n := int(d.u16())
@@ -249,21 +350,34 @@ func (d *decoder) str16() string {
 	return s
 }
 
-// valsInto decodes a u32-counted i64 vector, reusing dst when it already
-// has the right length (the client's steady-state buffer-reuse path).
+// valsInto decodes a u32-counted i64 vector into dst's storage when it
+// has the capacity (the steady-state buffer-reuse path of both ends).
+// The count is checked against the payload once for the whole block;
+// the copy then runs four elements per bounds check.
+//
+//roccc:hotpath
 func (d *decoder) valsInto(dst []int64) []int64 {
 	n := int(d.u32())
-	if d.err != nil || d.off+8*n > len(d.b) {
+	if d.err != nil || n > (len(d.b)-d.off)/8 {
 		d.fail()
 		return nil
 	}
-	if len(dst) != n {
+	if cap(dst) < n {
 		dst = make([]int64, n)
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = int64(binary.BigEndian.Uint64(d.b[d.off:]))
-		d.off += 8
+	dst = dst[:n]
+	b, out := d.b[d.off:d.off+8*n], dst
+	for len(out) >= 4 && len(b) >= 32 {
+		out[0] = int64(binary.BigEndian.Uint64(b[0:8]))
+		out[1] = int64(binary.BigEndian.Uint64(b[8:16]))
+		out[2] = int64(binary.BigEndian.Uint64(b[16:24]))
+		out[3] = int64(binary.BigEndian.Uint64(b[24:32]))
+		b, out = b[32:], out[4:]
 	}
+	for i := range out {
+		out[i] = int64(binary.BigEndian.Uint64(b[8*i:]))
+	}
+	d.off += 8 * n
 	return dst
 }
 

@@ -79,6 +79,10 @@ func Table1Specs() []KernelSpec {
 // Runner executes admitted streams for one kernel, resolved once at
 // request open. The returned error is the job's (per-stream failures,
 // including typed *dp.FaultError faults and *BusyError load-sheds).
+// Connections recycle Jobs across streams, so RunStream must finish with
+// the job before it returns and, on success, leave exactly this stream's
+// outputs and feedbacks in it (netlist's pool paths and the TCP client
+// purge the keys they do not write).
 type Runner interface {
 	RunStream(job *netlist.Job) error
 }
@@ -573,12 +577,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		sc := &srvConn{
-			srv:  s,
-			c:    c,
-			reqs: map[uint32]*reqState{},
-			sem:  make(chan struct{}, s.workers),
-		}
+		sc := newSrvConn(s, c)
 		// Register under mu with a closing re-check in the same critical
 		// section: Shutdown flips closing before its close-all pass takes
 		// mu, so a conn either lands in s.conns in time to be closed
@@ -669,11 +668,99 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // reqState is one open request on a connection: the kernel's resolved
 // Runner and the count of stream responses still owed before 'D'. With
-// a pipelined client many reqStates are live on one connection at once.
+// a pipelined client many reqStates are live on one connection at once;
+// they live by value in srvConn.reqs, so an open allocates nothing.
 type reqState struct {
 	kernel    string
 	runner    Runner
 	remaining uint32 // responses owed; guarded by srvConn.mu
+}
+
+// streamTask is one admitted stream on its way through a connection's
+// executors. Tasks are recycled per connection (srvConn.free): the Job's
+// input and output slices and maps carry over from stream to stream, so
+// a steady stream of one kernel's requests allocates nothing.
+type streamTask struct {
+	req, idx uint32
+	kernel   string
+	runner   Runner
+	job      netlist.Job
+
+	// spare is decodeInputs' stash of the previous stream's inputs.
+	spare []spareVals
+}
+
+type spareVals struct {
+	name string
+	vals []int64
+	used bool
+}
+
+// decodeInputs fills the task's Job.Inputs from a stream frame's narr
+// arrays. The map is rebuilt from scratch on every stream, so an input
+// name the previous stream carried and this one does not never reaches
+// LoadInput (runJob rejects unknown input names); the previous stream's
+// key strings and slices are reused by name, and otherwise for their
+// capacity.
+func (t *streamTask) decodeInputs(d *decoder, narr int) {
+	in := t.job.Inputs
+	if in == nil {
+		in = make(map[string][]int64, narr)
+		t.job.Inputs = in
+	}
+	t.spare = t.spare[:0]
+	for name, vals := range in {
+		t.spare = append(t.spare, spareVals{name: name, vals: vals})
+	}
+	clear(in)
+	for i := 0; i < narr; i++ {
+		name, dst := t.reuse(d.bytes8())
+		vals := d.valsInto(dst)
+		if d.err != nil {
+			break
+		}
+		in[name] = vals
+	}
+	clear(t.spare) // drop the unused buffers
+}
+
+// reuse picks the stash entry for an input name: the previous buffer of
+// the same name, else any unused one (valsInto reallocates if it is too
+// small). A name seen for the first time costs its key string.
+func (t *streamTask) reuse(name []byte) (string, []int64) {
+	free := -1
+	for i := range t.spare {
+		sp := &t.spare[i]
+		if sp.used {
+			continue
+		}
+		if sp.name == string(name) {
+			sp.used = true
+			return sp.name, sp.vals
+		}
+		if free < 0 {
+			free = i
+		}
+	}
+	if free < 0 {
+		return string(name), nil
+	}
+	t.spare[free].used = true
+	return string(name), t.spare[free].vals
+}
+
+// scratchBytes estimates the task's retained footprint: its arrays plus
+// a map-entry overhead, so a frame of many empty arrays counts too.
+func (t *streamTask) scratchBytes() int {
+	const entry = 64
+	n := entry * (len(t.job.Inputs) + len(t.job.Outputs))
+	for _, v := range t.job.Inputs {
+		n += 8 * cap(v)
+	}
+	for _, v := range t.job.Outputs {
+		n += 8 * cap(v)
+	}
+	return n
 }
 
 // srvConn is the server side of one client connection.
@@ -681,18 +768,30 @@ type srvConn struct {
 	srv *Server
 	c   net.Conn
 
-	// wmu serializes response frames (executors finish out of order).
+	// wmu keeps each response Write whole (executors finish out of
+	// order); enc encodes the rare frames written under it — stream
+	// responses are encoded outside it into pooled encoders.
 	wmu sync.Mutex
 	enc encoder
 
+	// mu guards the open requests and the recycled stream tasks.
 	mu   sync.Mutex
-	reqs map[uint32]*reqState
+	reqs map[uint32]reqState
+	free []*streamTask
 
 	// sem is the per-request-slot semaphore: it bounds this connection's
 	// concurrent stream executions across all its in-flight requests; the
 	// reader blocks acquiring it, which stops reading the socket and
-	// backpressures the client through TCP itself.
-	sem chan struct{}
+	// backpressures the client through TCP itself. Admitted streams queue
+	// on tasks for the connection's executors; execs (reader-owned)
+	// counts the executors started so far.
+	sem   chan struct{}
+	tasks chan *streamTask
+	execs int
+
+	// names interns the kernel names this connection's requests open
+	// (reader-owned).
+	names []string
 
 	// Per-connection counters (metrics plane).
 	opens   atomic.Int64
@@ -700,15 +799,20 @@ type srvConn struct {
 	faults  atomic.Int64
 }
 
+func newSrvConn(s *Server, c net.Conn) *srvConn {
+	return &srvConn{
+		srv:   s,
+		c:     c,
+		reqs:  map[uint32]reqState{},
+		sem:   make(chan struct{}, s.workers),
+		tasks: make(chan *streamTask, s.workers),
+	}
+}
+
 func (sc *srvConn) serve() {
 	c, s := sc.c, sc.srv
 	defer func() {
-		// Wait for this connection's in-flight executors (they hold sem
-		// slots) so their pooled Systems are back before the conn is
-		// forgotten; response writes after close fail harmlessly.
-		for i := 0; i < cap(sc.sem); i++ {
-			sc.sem <- struct{}{}
-		}
+		sc.quiesce()
 		c.Close()
 		s.mu.Lock()
 		delete(s.conns, c)
@@ -727,14 +831,21 @@ func (sc *srvConn) serve() {
 			}
 			return
 		}
-		buf = payload[:cap(payload)]
-		if cap(buf) > bufHighWater && len(payload) < bufHighWater/4 {
-			buf = nil // small traffic again: stop pinning the high-water scratch
-		}
+		buf = scratch(payload)
 		if !sc.frame(payload) {
 			return
 		}
 	}
+}
+
+// quiesce waits for this connection's in-flight streams (they hold sem
+// slots) so their pooled Systems are back before the conn is forgotten,
+// then stops its executors; response writes after close fail harmlessly.
+func (sc *srvConn) quiesce() {
+	for i := 0; i < cap(sc.sem); i++ {
+		sc.sem <- struct{}{}
+	}
+	close(sc.tasks)
 }
 
 // frame dispatches one client frame; false closes the connection.
@@ -759,7 +870,7 @@ func (sc *srvConn) frame(payload []byte) bool {
 		sc.writeKeepAlive(req)
 		return true
 	case frameOpen:
-		kernel := d.str8()
+		kernel := sc.kernelName(d.bytes8())
 		count := d.u32()
 		if d.err != nil || d.remaining() {
 			sc.writeError(req, streamNone, "serve: malformed open frame")
@@ -773,6 +884,24 @@ func (sc *srvConn) frame(payload []byte) bool {
 		return false
 	}
 }
+
+// kernelName interns an open frame's kernel name: a connection opens a
+// handful of kernels, so steady-state opens allocate no name strings.
+func (sc *srvConn) kernelName(b []byte) string {
+	for _, n := range sc.names {
+		if n == string(b) {
+			return n
+		}
+	}
+	n := string(b)
+	if len(sc.names) < maxInterned {
+		sc.names = append(sc.names, n)
+	}
+	return n
+}
+
+// maxInterned bounds a connection's interned kernel names.
+const maxInterned = 16
 
 func (sc *srvConn) open(req uint32, kernel string, count uint32) bool {
 	if sc.srv.closing.Load() {
@@ -797,7 +926,7 @@ func (sc *srvConn) open(req uint32, kernel string, count uint32) bool {
 		return true
 	}
 	sc.mu.Lock()
-	sc.reqs[req] = &reqState{kernel: kernel, runner: runner, remaining: count}
+	sc.reqs[req] = reqState{kernel: kernel, runner: runner, remaining: count}
 	sc.mu.Unlock()
 	return true
 }
@@ -806,59 +935,115 @@ func (sc *srvConn) stream(req uint32, d *decoder) bool {
 	idx := d.u32()
 	narr := int(d.u16())
 	sc.mu.Lock()
-	st := sc.reqs[req]
+	st, ok := sc.reqs[req]
 	sc.mu.Unlock()
-	if st == nil {
+	if !ok {
 		// Unknown request id: either never opened (protocol misuse) or
 		// already aborted by a request-level error — drop the frame.
 		return true
 	}
-	job := netlist.Job{Inputs: make(map[string][]int64, narr)}
-	for i := 0; i < narr; i++ {
-		name := d.str8()
-		vals := d.valsInto(nil)
-		if d.err != nil {
-			break
-		}
-		job.Inputs[name] = vals
-	}
+	t := sc.getTask(st.kernel)
+	t.decodeInputs(d, narr)
 	if d.err != nil || d.remaining() {
+		sc.putTask(t)
 		sc.writeError(req, streamNone, "serve: malformed stream frame")
 		return false
 	}
+	t.req, t.idx, t.runner = req, idx, st.runner
+	t.job.Cycles, t.job.Err = 0, nil
 
 	if !sc.srv.beginStream() {
 		// Draining: answer the stream with an error (keeping the 'D'
 		// accounting intact) instead of racing the shutdown Wait.
-		job.Err = fmt.Errorf("serve: server is draining")
-		sc.respond(req, idx, &job)
-		sc.finishStream(req)
+		t.job.Err = fmt.Errorf("serve: server is draining")
+		sc.respond(t)
+		sc.putTask(t)
 		return true
 	}
 	sc.sem <- struct{}{} // backpressure: bounded in-flight per connection
-	go func() {
-		defer func() {
-			<-sc.sem
-			sc.srv.endStream()
-		}()
-		st.runner.RunStream(&job) // error is job.Err; pooled Systems return either way
-		sc.respond(req, idx, &job)
-		sc.finishStream(req)
-	}()
+	// Every admitted stream holds a sem slot until it is answered, so
+	// keeping an executor per held slot means a queued task never waits
+	// for an executor; they start lazily and live as long as the conn.
+	if sc.execs < len(sc.sem) {
+		sc.execs++
+		go sc.execute()
+	}
+	sc.tasks <- t
 	return true
 }
 
-// respond writes the stream's result/fault/error frame.
-func (sc *srvConn) respond(req, idx uint32, job *netlist.Job) {
+// execute is one of the connection's stream executors: it runs admitted
+// streams until quiesce closes the task queue.
+func (sc *srvConn) execute() {
+	for t := range sc.tasks {
+		t.runner.RunStream(&t.job) // error is job.Err; pooled Systems return either way
+		sc.respond(t)
+		sc.putTask(t)
+		<-sc.sem
+		sc.srv.endStream()
+	}
+}
+
+// getTask takes a recycled stream task, preferring one whose last stream
+// ran the same kernel (its buffers then fit as they are).
+func (sc *srvConn) getTask(kernel string) *streamTask {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	n := len(sc.free)
+	pick := -1
+	for i := n - 1; i >= 0; i-- {
+		if sc.free[i].kernel == kernel {
+			pick = i
+			break
+		}
+	}
+	if pick < 0 {
+		if n < sc.maxFree() {
+			return &streamTask{kernel: kernel}
+		}
+		pick = n - 1 // a full free list: recycle another kernel's task
+	}
+	t := sc.free[pick]
+	sc.free[pick] = sc.free[n-1]
+	sc.free[n-1] = nil
+	sc.free = sc.free[:n-1]
+	t.kernel = kernel
+	return t
+}
+
+// putTask recycles a task whose response is written. Tasks whose scratch
+// grew past bufHighWater are dropped rather than pinned, as are tasks
+// beyond the free list's bound.
+func (sc *srvConn) putTask(t *streamTask) {
+	t.runner = nil
+	t.job.Err = nil
+	if t.scratchBytes() > bufHighWater {
+		return
+	}
+	sc.mu.Lock()
+	if len(sc.free) < sc.maxFree() {
+		sc.free = append(sc.free, t)
+	}
+	sc.mu.Unlock()
+}
+
+// maxFree bounds the recycled tasks kept idle to the executor width.
+func (sc *srvConn) maxFree() int { return cap(sc.sem) }
+
+// respond writes the stream's result/fault/error frame. The frame is
+// encoded outside the write lock into a pooled encoder; under the lock
+// the stream is retired and, when it was the last response its request
+// owed, the 'D' frame joins it in the same Write. Retiring under wmu
+// keeps every request's 'D' behind all of its responses.
+func (sc *srvConn) respond(t *streamTask) {
+	job := &t.job
 	sc.srv.countStream(job.Err)
 	sc.streams.Add(1)
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	e := &sc.enc
+	e := getEncoder()
 	switch {
 	case job.Err == nil:
-		e.begin(frameResult, req)
-		e.u32(idx)
+		e.begin(frameResult, t.req)
+		e.u32(t.idx)
 		e.u64(uint64(job.Cycles))
 		e.u16(uint16(len(job.Outputs)))
 		for name, vals := range job.Outputs {
@@ -874,37 +1059,41 @@ func (sc *srvConn) respond(req, idx uint32, job *netlist.Job) {
 		var fe *dp.FaultError
 		if errors.As(job.Err, &fe) {
 			sc.faults.Add(1)
-			e.begin(frameFault, req)
-			e.u32(idx)
+			e.begin(frameFault, t.req)
+			e.u32(t.idx)
 			e.u32(uint32(fe.Cycle))
 			e.str8(fe.Op)
 			e.str16(fe.Msg)
 		} else {
-			e.begin(frameError, req)
-			e.u32(idx)
+			e.begin(frameError, t.req)
+			e.u32(t.idx)
 			e.str16(job.Err.Error())
 		}
 	}
+	sc.wmu.Lock()
+	if sc.retire(t.req) {
+		e.next(frameDone, t.req)
+	}
 	sc.c.Write(e.finish())
+	sc.wmu.Unlock()
+	putEncoder(e)
 }
 
-// finishStream decrements the request's owed-response count and emits
-// 'D' after the last one.
-func (sc *srvConn) finishStream(req uint32) {
+// retire counts one answered stream of req and reports whether it was
+// the last response the request owed (the request is then closed).
+func (sc *srvConn) retire(req uint32) bool {
 	sc.mu.Lock()
-	st := sc.reqs[req]
-	done := false
-	if st != nil {
-		st.remaining--
-		if st.remaining == 0 {
-			delete(sc.reqs, req)
-			done = true
-		}
+	defer sc.mu.Unlock()
+	st, ok := sc.reqs[req]
+	if !ok {
+		return false // aborted by a request-level error: no 'D'
 	}
-	sc.mu.Unlock()
-	if done {
-		sc.writeDone(req)
+	if st.remaining--; st.remaining > 0 {
+		sc.reqs[req] = st
+		return false
 	}
+	delete(sc.reqs, req)
+	return true
 }
 
 func (sc *srvConn) writeDone(req uint32) {

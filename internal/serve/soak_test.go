@@ -53,7 +53,7 @@ func buildSoakRefs(t *testing.T, specs []KernelSpec, seeds int) []soakRef {
 				for i := range vals {
 					vals[i] = rng.Int63n(255) - 128
 				}
-				if spec.Name == "soak_divide" {
+				if spec.Func == "divide" {
 					// Keep divisors nonzero on even seeds; odd seeds plant
 					// one zero on a valid iteration — a guaranteed fault.
 					if w.Arr.Name == "B" {
@@ -113,7 +113,7 @@ func checkSoak(job *netlist.Job, ref *soakRef) error {
 		if !errors.As(job.Err, &fe) {
 			return fmt.Errorf("%s: served %v, want fault %v", ref.kernel, job.Err, ref.fault)
 		}
-		if fe.Cycle != ref.fault.Cycle || fe.Msg != ref.fault.Msg {
+		if fe.Cycle != ref.fault.Cycle || fe.Op != ref.fault.Op || fe.Msg != ref.fault.Msg {
 			return fmt.Errorf("%s: served fault %+v, serial fault %+v", ref.kernel, fe, ref.fault)
 		}
 		return nil
@@ -123,6 +123,10 @@ func checkSoak(job *netlist.Job, ref *soakRef) error {
 	}
 	if job.Cycles != ref.cycles {
 		return fmt.Errorf("%s: served %d cycles, serial %d", ref.kernel, job.Cycles, ref.cycles)
+	}
+	if len(job.Outputs) != len(ref.outputs) || len(job.Feedbacks) != len(ref.feedbacks) {
+		return fmt.Errorf("%s: served %d outputs and %d feedbacks, serial %d and %d",
+			ref.kernel, len(job.Outputs), len(job.Feedbacks), len(ref.outputs), len(ref.feedbacks))
 	}
 	for name, want := range ref.outputs {
 		got := job.Outputs[name]
