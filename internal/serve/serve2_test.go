@@ -575,7 +575,6 @@ func TestServeSetMaxIdleFor(t *testing.T) {
 		srv.Shutdown(ctx)
 	})
 	local := srv.Local()
-	// A wide batch forces several pooled Systems to exist.
 	jobs := make([]netlist.Job, 8)
 	for i := range jobs {
 		jobs[i] = netlist.Job{Inputs: firStream(int64(i))}
@@ -583,8 +582,27 @@ func TestServeSetMaxIdleFor(t *testing.T) {
 	if err := local.Run("fir", jobs); err != nil {
 		t.Fatal(err)
 	}
-	if idle := srv.Stats()["fir"].Idle; idle < 2 {
-		t.Skipf("pool kept only %d idle Systems; nothing to trim", idle)
+	// How many Systems the batch leaves idle depends on worker
+	// scheduling, so hold three out of the pool at once and hand them
+	// back: the warm pool then has at least three idle Systems to trim.
+	srv.mu.Lock()
+	e := srv.kernels["fir"]
+	srv.mu.Unlock()
+	pool, err := e.getPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make([]*netlist.System, 3)
+	for i := range held {
+		if held[i], err = pool.Get(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sys := range held {
+		pool.Put(sys)
+	}
+	if idle := srv.Stats()["fir"].Idle; idle < 3 {
+		t.Fatalf("pool kept only %d idle Systems after returning 3", idle)
 	}
 
 	if err := srv.SetMaxIdleFor("fir", 1); err != nil {
@@ -605,9 +623,6 @@ func TestServeSetMaxIdleFor(t *testing.T) {
 
 	// The server-wide cap must not override the pinned kernel...
 	srv.SetMaxIdle(6)
-	srv.mu.Lock()
-	e := srv.kernels["fir"]
-	srv.mu.Unlock()
 	if got := e.idleCap(); got != 1 {
 		t.Fatalf("idleCap = %d after server-wide SetMaxIdle, want pinned 1", got)
 	}
