@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"roccc/internal/bench"
-	"roccc/internal/calib"
 	"roccc/internal/dp"
 	"roccc/internal/exp"
 	"roccc/internal/fleet"
@@ -540,7 +539,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		}
 	})
 	b.Run("tcp-serial", func(b *testing.B) {
-		conn, err := serve.Dial(ln.Addr().String())
+		conn, err := serve.DialContext(context.Background(), ln.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -560,7 +559,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		clients := min(8, max(2, runtime.GOMAXPROCS(0)))
 		conns := make([]*serve.Conn, clients)
 		for i := range conns {
-			c, err := serve.Dial(ln.Addr().String())
+			c, err := serve.DialContext(context.Background(), ln.Addr().String())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -604,7 +603,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 // benchmark op is one served stream (the last request of a slot is
 // truncated so b.N streams run exactly).
 func runPipelined(b *testing.B, addr, kernel string, perReq int, mk func() []netlist.Job) {
-	conn, err := serve.DialPipelined(addr)
+	conn, err := serve.DialContext(context.Background(), addr, serve.WithPipelined(0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -723,33 +722,5 @@ func BenchmarkLoadRecord(b *testing.B) {
 	}
 	if h.Count() != uint64(b.N) {
 		b.Fatalf("recorded %d of %d ticks", h.Count(), b.N)
-	}
-}
-
-// BenchmarkCalibrateTrial measures the calibration trial's timed region
-// — calib.RunIters, the only code inside a trial's ns/iter measurement.
-// The calibrate gate holds it at zero allocations: a measurement loop
-// that allocated would fold GC noise into every backend pick.
-func BenchmarkCalibrateTrial(b *testing.B) {
-	res, err := Compile(exp.Fig3Source, "fir", DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, netlist.Config{BusElems: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	feeds := calib.FeedsFor(calib.InputsFor(res.Kernel, calib.DefaultSeed))
-	// One unmeasured pass so pool-free setup (plan cache, lazy buffers)
-	// lands outside the measurement, as a trial's warmup does.
-	if err := calib.RunIters(sys, feeds, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := calib.RunIters(sys, feeds, 1); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -17,10 +17,9 @@
 //     abort cycle, message), identical to what a local System.Run
 //     raises.
 //   - Metrics / KernelInfo / ConnInfo / FleetMetrics / ShardMetrics /
-//     KernelRoute / PoolStats / CalibrationResult / CalibrationSample —
-//     the JSON shapes the /metrics endpoint serves — plus FleetSnapshot
-//     and ScrapeMetrics to fetch and parse either the single-server or
-//     the fleet form.
+//     KernelRoute / PoolStats — the JSON shapes the /metrics endpoint
+//     serves — plus FleetSnapshot and ScrapeMetrics to fetch and parse
+//     either the single-server or the fleet form.
 //
 // Everything else under internal/ remains free to change between PRs.
 package client
@@ -33,7 +32,6 @@ import (
 	"net/http"
 	"time"
 
-	"roccc/internal/calib"
 	"roccc/internal/dp"
 	"roccc/internal/fleet"
 	"roccc/internal/netlist"
@@ -78,16 +76,6 @@ type ShardMetrics = fleet.ShardMetrics
 
 // KernelRoute is the per-kernel routing slice of a fleet snapshot.
 type KernelRoute = fleet.KernelRoute
-
-// CalibrationResult is a kernel's last backend-calibration trial, as
-// surfaced in KernelInfo.Calibration: the configured backend, the
-// measured pick, whether the pick switched the serving pool, and one
-// ns/iter sample per backend.
-type CalibrationResult = calib.Result
-
-// CalibrationSample is one backend's measured ns/iter in a
-// CalibrationResult.
-type CalibrationSample = calib.Sample
 
 // DialContext connects to a rocccserve address; see serve.DialContext.
 func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, error) {

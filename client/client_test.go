@@ -2,6 +2,7 @@ package client
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,10 +11,9 @@ import (
 // fleetGolden is a fleet-shaped /metrics document as the front-end of a
 // sharded rocccserve writes it: the front server snapshot plus the
 // router's, with one in-process shard carrying a full per-shard server
-// snapshot whose kernel was calibrated (configured interp, picked
-// threaded, pool swapped). Optional fields are exercised both present
-// (shard 0) and absent (shard 1, a TCP shard; the fir kernel's
-// never-calibrated sibling).
+// snapshot whose mul_acc kernel is resident with an active backend and
+// a pool. Optional fields are exercised both present (shard 0, mul_acc)
+// and absent (shard 1, a TCP shard; the evicted fir kernel).
 const fleetGolden = `{
   "front": {
     "proto": 2,
@@ -23,16 +23,12 @@ const fleetGolden = `{
     "faults": 3,
     "sheds": 7,
     "in_flight": 1,
-    "calibrations": 0,
-    "calib_swaps": 0,
     "kernels": [],
     "conns": [
       {"remote": "127.0.0.1:50001", "opens": 2, "streams": 420, "faults": 3}
     ]
   },
   "fleet": {
-    "calibrations": 6,
-    "calib_swaps": 2,
     "shards": [
       {
         "index": 0,
@@ -43,8 +39,6 @@ const fleetGolden = `{
         "streams": 300,
         "sheds": 7,
         "idle_conns": 0,
-        "calibrations": 6,
-        "calib_swaps": 2,
         "server": {
           "proto": 2,
           "workers": 4,
@@ -53,8 +47,6 @@ const fleetGolden = `{
           "faults": 2,
           "sheds": 0,
           "in_flight": 0,
-          "calibrations": 6,
-          "calib_swaps": 2,
           "kernels": [
             {
               "kernel": "mul_acc",
@@ -63,18 +55,6 @@ const fleetGolden = `{
               "backend_configured": "interp",
               "backend_active": "threaded",
               "closed_form_cone": true,
-              "calibrations": 2,
-              "calibration": {
-                "kernel": "mul_acc",
-                "configured": "interp",
-                "picked": "threaded",
-                "switched": true,
-                "samples": [
-                  {"backend": "interp", "ns_per_iter": 79000},
-                  {"backend": "threaded", "ns_per_iter": 36000},
-                  {"backend": "cone", "ns_per_iter": 41000}
-                ]
-              },
               "opens": 10,
               "streams": 200,
               "faults": 0,
@@ -124,8 +104,8 @@ const fleetGolden = `{
 }`
 
 // TestParseMetricsFleetGolden pins the fleet document shape end to end:
-// per-shard servers, per-kernel calibration verdicts with raw samples,
-// and the optional fields' presence/absence semantics.
+// per-shard servers, per-kernel backends and pools, and the optional
+// fields' presence/absence semantics.
 func TestParseMetricsFleetGolden(t *testing.T) {
 	snap, err := ParseMetrics([]byte(fleetGolden))
 	if err != nil {
@@ -137,15 +117,12 @@ func TestParseMetricsFleetGolden(t *testing.T) {
 	if snap.Fleet == nil {
 		t.Fatal("fleet section dropped")
 	}
-	if snap.Fleet.Calibrations != 6 || snap.Fleet.CalibSwaps != 2 {
-		t.Fatalf("fleet calibration totals: %+v", snap.Fleet)
-	}
 	if len(snap.Fleet.Shards) != 2 || len(snap.Fleet.Kernels) != 2 {
 		t.Fatalf("shards/kernels: %d/%d", len(snap.Fleet.Shards), len(snap.Fleet.Kernels))
 	}
 
 	local := snap.Fleet.Shards[0]
-	if !local.InProcess || local.Server == nil || local.Calibrations != 6 || local.CalibSwaps != 2 {
+	if !local.InProcess || local.Server == nil || local.Streams != 300 {
 		t.Fatalf("local shard: %+v", local)
 	}
 	kernels := local.Server.Kernels
@@ -156,37 +133,32 @@ func TestParseMetricsFleetGolden(t *testing.T) {
 	if ma.Kernel != "mul_acc" || ma.BackendConfigured != "interp" || ma.BackendActive != "threaded" {
 		t.Fatalf("mul_acc backends: %+v", ma)
 	}
-	if !ma.ClosedFormCone || ma.Calibrations != 2 || ma.Calibration == nil {
-		t.Fatalf("mul_acc calibration plumbing: %+v", ma)
-	}
-	cal := ma.Calibration
-	if cal.Configured != "interp" || cal.Picked != "threaded" || !cal.Switched {
-		t.Fatalf("calibration verdict: %+v", cal)
-	}
-	if len(cal.Samples) != 3 || cal.Samples[1].Backend != "threaded" || cal.Samples[1].NsPerIter != 36000 {
-		t.Fatalf("calibration samples: %+v", cal.Samples)
+	if !ma.ClosedFormCone {
+		t.Fatalf("mul_acc closed-form cone dropped: %+v", ma)
 	}
 	if ma.Pool == nil || ma.Pool.Gets != ma.Pool.Puts+ma.Pool.Rejected {
 		t.Fatalf("mul_acc pool: %+v", ma.Pool)
 	}
 
 	// Optional fields absent: the evicted fir kernel has no active
-	// backend, no calibration and no pool; the TCP shard no server.
+	// backend and no pool; the TCP shard no server.
 	fir := kernels[1]
-	if fir.BackendActive != "" || fir.Calibration != nil || fir.Calibrations != 0 || fir.Pool != nil {
+	if fir.BackendActive != "" || fir.Pool != nil {
 		t.Fatalf("fir optional fields should be zero: %+v", fir)
 	}
 	tcp := snap.Fleet.Shards[1]
-	if tcp.InProcess || tcp.Server != nil || tcp.Calibrations != 0 || tcp.Addr != "10.0.0.7:9944" {
+	if tcp.InProcess || tcp.Server != nil || tcp.Addr != "10.0.0.7:9944" {
 		t.Fatalf("tcp shard: %+v", tcp)
 	}
 }
 
 // TestParseMetricsBareServer: a single-server rocccserve serves the
 // bare Metrics object; ParseMetrics must normalize it into a snapshot
-// with no fleet section.
+// with no fleet section. A document from an older server, which still
+// carries per-server and per-kernel fields this client no longer
+// models (testdata/metrics_older_server.json), must parse the same way.
 func TestParseMetricsBareServer(t *testing.T) {
-	body := `{"proto": 2, "workers": 4, "served": 9, "calibrations": 3, "calib_swaps": 1,
+	body := `{"proto": 2, "workers": 4, "served": 9,
 	          "kernels": [{"kernel": "fir", "compiled": true, "backend_configured": "cone"}]}`
 	snap, err := ParseMetrics([]byte(body))
 	if err != nil {
@@ -195,11 +167,26 @@ func TestParseMetricsBareServer(t *testing.T) {
 	if snap.Fleet != nil {
 		t.Fatalf("bare server grew a fleet section: %+v", snap.Fleet)
 	}
-	if snap.Front.Served != 9 || snap.Front.Calibrations != 3 || snap.Front.CalibSwaps != 1 {
+	if snap.Front.Served != 9 || snap.Front.Workers != 4 {
 		t.Fatalf("front: %+v", snap.Front)
 	}
 	if len(snap.Front.Kernels) != 1 || snap.Front.Kernels[0].BackendConfigured != "cone" {
 		t.Fatalf("kernels: %+v", snap.Front.Kernels)
+	}
+
+	older, err := os.ReadFile("testdata/metrics_older_server.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err = ParseMetrics(older)
+	if err != nil {
+		t.Fatalf("older server document: %v", err)
+	}
+	if snap.Fleet != nil || snap.Front.Served != 9 || len(snap.Front.Kernels) != 1 {
+		t.Fatalf("older server snapshot: %+v", snap)
+	}
+	if k := snap.Front.Kernels[0]; k.Kernel != "fir" || k.BackendActive != "threaded" || k.Streams != 9 {
+		t.Fatalf("older server kernel: %+v", k)
 	}
 }
 

@@ -25,12 +25,11 @@ func main() {
 		sysbatch   = flag.Bool("sysbatch", false, "print the system cycle-loop batching sweep (serial vs streak-batched System.Run)")
 		servesweep = flag.Bool("serve", false, "print the serve sweep (rocccserve TCP vs serial System.Run)")
 		fleetsweep = flag.Bool("fleet", false, "print the fleet sweep (pipelined v2 client + sharded router vs serial System.Run)")
-		calibrated = flag.Bool("calibrated", false, "run the -fleet sweep in calibrated mode: auto-pick each kernel's backend, verify bit-identical to serial interp")
 		shardsN    = flag.Int("shards", 3, "worker shards for the -fleet sweep")
 		corpusDir  = flag.String("corpus", "ci/corpus", "extra .c kernels for the -fleet sweep (function name k); empty skips")
 		jobs       = flag.Int("jobs", 64, "independent input streams per sweep")
 		workers    = flag.Int("workers", 0, "sweep shard width (0 = GOMAXPROCS)")
-		backendF   = flag.String("backend", "threaded", "execution backend for the -sysbatch sweep's backend columns: interp, threaded or cone")
+		backendF   = flag.String("backend", "threaded", "execution backend for the -sysbatch sweep's backend columns and the -fleet sweep: interp, threaded or cone")
 		all        = flag.Bool("all", false, "print everything")
 	)
 	flag.Parse()
@@ -95,7 +94,7 @@ func main() {
 		fmt.Println(exp.FormatServeSweep(rows))
 	}
 	if *fleetsweep || *all {
-		rows, err := exp.FleetSweep(*jobs, *shardsN, backend, *corpusDir, *calibrated)
+		rows, err := exp.FleetSweep(*jobs, *shardsN, backend, *corpusDir)
 		if err != nil {
 			fatal(err)
 		}

@@ -16,19 +16,15 @@
 //	rocccload -local 2                  # self-hosted 2-shard fleet, knee search
 //	rocccload -addr host:9944 -rate 200 # one fixed-rate step on a live fleet
 //	rocccload -local 2 -gate -out LOAD_report.json
-//	rocccload -local 2 -calibrate -gate # before/after backend auto-pick knees
 //
 // Without -rate the harness runs the knee search: step-doubling then
 // bisection to the highest rate where p99 stays under -slo with zero
 // non-shed errors, then post-knee probes proving the shed rate rises
-// monotonically under deepening overload. -calibrate (local fleets
-// only) runs the knee search twice — once on the configured backends,
-// then again after calibrating every kernel onto its measured fastest
-// backend — so the report carries the auto-pick's payoff as a
-// before/after pair. -out writes the full machine-readable report;
-// -gate evaluates the load gate contract and prints a cigate-parseable
-// summary ("N violations in X.XXs") plus cigate-metric lines folded
-// into the BENCH trajectory.
+// monotonically under deepening overload. Every kernel runs on the
+// -backend execution backend (threaded unless overridden). -out writes
+// the full machine-readable report; -gate evaluates the load gate
+// contract and prints a cigate-parseable summary ("N violations in
+// X.XXs") plus cigate-metric lines folded into the BENCH trajectory.
 package main
 
 import (
@@ -39,7 +35,6 @@ import (
 	"runtime"
 	"time"
 
-	"roccc/internal/calib"
 	"roccc/internal/dp"
 	"roccc/internal/load"
 )
@@ -64,15 +59,13 @@ func main() {
 		streams   = flag.Int("streams", 1, "streams per request")
 		faultFrac = flag.Float64("fault-frac", 0.05, "fraction of arrivals with a planted divide-by-zero")
 		discFrac  = flag.Float64("disc-frac", 0.01, "fraction of arrivals that rudely disconnect mid-request")
-		backendF  = flag.String("backend", "interp", "execution backend for every kernel: interp, threaded or cone")
+		backendF  = flag.String("backend", "threaded", "execution backend for every kernel: interp, threaded or cone")
 		corpusDir = flag.String("corpus", "ci/corpus", "fuzz-corpus kernels to mix in (empty or missing = Table 1 only)")
 
 		slo       = flag.Duration("slo", 100*time.Millisecond, "p99 ceiling defining the knee")
 		startRate = flag.Float64("start-rate", 50, "knee search starting rate (req/s)")
 		maxRate   = flag.Float64("max-rate", 1<<20, "knee search ceiling (req/s)")
 		bisects   = flag.Int("bisects", 3, "bisection refinements after the doubling phase")
-
-		calibrate = flag.Bool("calibrate", false, "after the knee search, calibrate every kernel's backend and search again (local fleets only; proves the auto-pick's payoff)")
 
 		out       = flag.String("out", "", "write the machine-readable JSON report here")
 		gate      = flag.Bool("gate", false, "evaluate the load gate contract and print a cigate summary")
@@ -104,10 +97,6 @@ func main() {
 		usageErr("-fault-frac and -disc-frac must be >= 0 and sum below 1")
 	case *gate && *rate > 0:
 		usageErr("-gate needs the knee search (drop -rate)")
-	case *calibrate && *rate > 0:
-		usageErr("-calibrate compares knee searches (drop -rate)")
-	case *calibrate && *local == 0:
-		usageErr("-calibrate needs a -local fleet (external fleets own their calibration via rocccserve -calibrate)")
 	case *gateCPU < 1 || *gateFloor < 0:
 		usageErr("-gate-min-cpu must be positive and -gate-floor >= 0")
 	}
@@ -208,36 +197,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("rocccload: %s\n", kr)
-
-		if *calibrate {
-			// Before/after pair: the search above measured the configured
-			// backends; repick every kernel from live trials, then search
-			// again on the auto-picked fleet. Same schedule seed, so the
-			// only variable between the two knees is the backend choice.
-			trials, err := fleet.Calibrate(calib.Options{})
-			if err != nil {
-				fatal(err)
-			}
-			report.CalibTrials = trials
-			fmt.Printf("rocccload: calibrated %d kernel(s); re-running the knee search on the auto-picked fleet\n", trials)
-			kc, err := load.FindKnee(load.KneeConfig{
-				Step:      stepCfg,
-				StartRate: *startRate,
-				MaxRate:   *maxRate,
-				SLO:       *slo,
-				Bisects:   *bisects,
-				Log: func(format string, args ...any) {
-					fmt.Printf(format+"\n", args...)
-				},
-			})
-			if kc != nil {
-				report.KneeCalibrated = kc
-			}
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("rocccload: calibrated: %s\n", kc)
-		}
 	}
 	elapsed := time.Since(begin)
 
@@ -267,11 +226,6 @@ func main() {
 			fmt.Printf("cigate-metric p99_at_knee_ms %.3f\n", p99AtKnee(report.Knee))
 			fmt.Printf("cigate-metric shed_monotonic %d\n", boolMetric(report.Knee.ShedMonotonic))
 			fmt.Printf("cigate-metric load_steps %d\n", len(report.Knee.Steps))
-		}
-		if report.KneeCalibrated != nil {
-			fmt.Printf("cigate-metric knee_rps_uncalibrated %.0f\n", report.Knee.KneeRPS)
-			fmt.Printf("cigate-metric knee_rps_calibrated %.0f\n", report.KneeCalibrated.KneeRPS)
-			fmt.Printf("cigate-metric calib_trials %d\n", report.CalibTrials)
 		}
 		fmt.Printf("rocccload: %d violations in %.2fs\n", len(violations), elapsed.Seconds())
 		if len(violations) > 0 {

@@ -9,8 +9,7 @@
 // Usage:
 //
 //	rocccserve [-addr :9944] [-workers N] [-max-idle N] [-shards N]
-//	           [-metrics :9945] [-max-resident N] [-backend interp]
-//	           [-calibrate[=interval]] [-once]
+//	           [-metrics :9945] [-max-resident N] [-backend threaded]
 //
 // Kernels compile on first request and stay cached (the compiled system
 // plan lives on the kernel itself, so every pooled System shares it).
@@ -23,18 +22,14 @@
 // SIGINT/SIGTERM drain gracefully: in-flight streams finish, new
 // requests are refused, then the listener closes.
 //
-// -calibrate arms backend auto-pick: every kernel is measured on all
-// execution backends at first compile and served on the fastest (ties
-// keep -backend). With a duration (-calibrate=30s) kernels are also
-// re-trialed on that interval — live pool swaps on a changed pick are
-// invisible to clients. -calibrate -once runs one calibration pass over
-// every registered kernel, prints each verdict plus a cigate-parseable
-// summary, and exits without serving (the CI smoke gate).
+// Every kernel is served on the -backend execution backend: threaded by
+// default, interp as the reference, cone as the closed-form ablation.
+// /metrics reports each kernel's configured and active backend and
+// whether its feedback cone runs in closed form.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -46,53 +41,10 @@ import (
 	"time"
 
 	"roccc/client"
-	"roccc/internal/calib"
 	"roccc/internal/dp"
 	"roccc/internal/fleet"
-	"roccc/internal/netlist"
 	"roccc/internal/serve"
 )
-
-// calibFlag is the -calibrate[=interval] value: bare -calibrate arms
-// first-compile calibration only; -calibrate=30s additionally re-trials
-// every compiled kernel on that interval.
-type calibFlag struct {
-	on       bool
-	interval time.Duration
-}
-
-func (f *calibFlag) String() string {
-	switch {
-	case !f.on:
-		return "false"
-	case f.interval > 0:
-		return f.interval.String()
-	default:
-		return "true"
-	}
-}
-
-// IsBoolFlag lets the flag package accept bare -calibrate (no value).
-func (f *calibFlag) IsBoolFlag() bool { return true }
-
-func (f *calibFlag) Set(s string) error {
-	switch s {
-	case "", "true":
-		f.on = true
-		return nil
-	case "false":
-		f.on = false
-		f.interval = 0
-		return nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d <= 0 {
-		return fmt.Errorf("want a boolean or a positive duration, got %q", s)
-	}
-	f.on = true
-	f.interval = d
-	return nil
-}
 
 func main() {
 	var (
@@ -100,15 +52,12 @@ func main() {
 		workers     = flag.Int("workers", 0, "pool shard width per kernel (0 = GOMAXPROCS)")
 		maxIdle     = flag.Int("max-idle", 0, "cap on idle pooled Systems per kernel (0 = unbounded)")
 		grace       = flag.Duration("grace", 10*time.Second, "drain budget on shutdown")
-		backendF    = flag.String("backend", "interp", "data-path execution backend for every registered kernel: interp, threaded or cone")
+		backendF    = flag.String("backend", "threaded", "data-path execution backend for every registered kernel: interp, threaded or cone")
 		shards      = flag.Int("shards", 1, "in-process worker shards behind the front-end router (1 = single server, no router)")
 		metricsAddr = flag.String("metrics", "", "HTTP listen address for the /metrics endpoint (empty = disabled)")
 		maxResident = flag.Int("max-resident", 0, "cap on kernels with warm pools per shard, LRU-evicted (0 = unbounded; needs -shards)")
 		hygiene     = flag.Duration("hygiene", 15*time.Second, "registry-hygiene sweep interval (eviction + idle-cap autotune; needs -shards)")
-		once        = flag.Bool("once", false, "with -calibrate: run one calibration pass over every kernel, print the verdicts and exit without serving")
-		calibrate   calibFlag
 	)
-	flag.Var(&calibrate, "calibrate", "auto-pick each kernel's execution backend at first compile; with a duration (e.g. -calibrate=30s), also re-trial on that interval")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "rocccserve: unexpected arguments %q\n", flag.Args())
@@ -122,11 +71,6 @@ func main() {
 	}
 	if *maxResident > 0 && *shards == 1 {
 		fmt.Fprintln(os.Stderr, "rocccserve: -max-resident needs a fleet (-shards > 1); a single server never evicts")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *once && !calibrate.on {
-		fmt.Fprintln(os.Stderr, "rocccserve: -once is a calibration smoke pass; it needs -calibrate")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -179,23 +123,6 @@ func main() {
 		}
 	}
 
-	// -once: one calibration pass over the whole registry — compile,
-	// trial, report, exit. The summary line is cigate's Cmd contract.
-	// Auto-calibration stays unarmed: the pass trials each kernel itself.
-	if *once {
-		os.Exit(calibrateOnce(front, router, workersSrvs, specs))
-	}
-
-	// Backend calibration: arm first-compile auto-pick everywhere, so a
-	// kernel's first pool is already built on the measured winner.
-	if calibrate.on {
-		if router != nil {
-			router.EnableCalibration(calib.Options{})
-		} else {
-			front.SetAutoCalibrate(true, calib.Options{})
-		}
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -244,32 +171,6 @@ func main() {
 						if n := router.EvictIdle(*maxResident); n > 0 {
 							fmt.Printf("rocccserve: hygiene: evicted %d cold pool(s)\n", n)
 						}
-					}
-				}
-			}
-		}()
-	}
-
-	// Periodic recalibration (-calibrate=interval): re-trial every
-	// compiled kernel; the noise-floor guard keeps incumbents unless a
-	// challenger genuinely wins, so steady state swaps nothing.
-	if calibrate.interval > 0 {
-		go func() {
-			t := time.NewTicker(calibrate.interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-hygieneStop:
-					return
-				case <-t.C:
-					if router != nil {
-						if n, err := router.Calibrate(); err != nil {
-							fmt.Fprintf(os.Stderr, "rocccserve: calibrate: %v\n", err)
-						} else if n > 0 {
-							fmt.Printf("rocccserve: calibrated %d kernel(s)\n", n)
-						}
-					} else if _, err := front.Calibrate(calib.Options{}); err != nil {
-						fmt.Fprintf(os.Stderr, "rocccserve: calibrate: %v\n", err)
 					}
 				}
 			}
@@ -329,54 +230,6 @@ func main() {
 	for i, w := range workersSrvs {
 		report(w, fmt.Sprintf("shard %d", i))
 	}
-}
-
-// calibrateOnce compiles and trials every registered kernel — on its
-// ring-owner shard in fleet mode, on the front server otherwise — and
-// prints one verdict per kernel plus cigate-metric lines and the
-// "<n> violations in <s>s" summary the cigate Cmd contract parses.
-// Combinational kernels cannot stream and are reported as skipped, not
-// violations. Returns the process exit code.
-func calibrateOnce(front *serve.Server, router *fleet.Router, workersSrvs []*serve.Server, specs []serve.KernelSpec) int {
-	start := time.Now()
-	violations, trials, switched, skipped := 0, 0, 0, 0
-	for _, spec := range specs {
-		target := front
-		if router != nil {
-			target = workersSrvs[router.ShardFor(spec.Name)]
-		}
-		res, err := target.CalibrateKernel(spec.Name, calib.Options{})
-		switch {
-		case errors.Is(err, netlist.ErrCombinational):
-			skipped++
-			fmt.Printf("rocccserve: calibrate %-15s skipped: combinational (no loop nest)\n", spec.Name)
-		case err != nil:
-			violations++
-			fmt.Printf("rocccserve: calibrate %-15s VIOLATION: %v\n", spec.Name, err)
-		default:
-			trials++
-			if res.Switched {
-				switched++
-			}
-			verdict := "kept"
-			if res.Switched {
-				verdict = "switched"
-			}
-			fmt.Printf("rocccserve: calibrate %-15s configured=%s picked=%s (%s)", spec.Name, res.Configured, res.Picked, verdict)
-			for _, s := range res.Samples {
-				fmt.Printf("  %s=%.0fns", s.Backend, s.NsPerIter)
-			}
-			fmt.Println()
-		}
-	}
-	fmt.Printf("cigate-metric calib_trials %d\n", trials)
-	fmt.Printf("cigate-metric calib_switched %d\n", switched)
-	fmt.Printf("cigate-metric calib_skipped %d\n", skipped)
-	fmt.Printf("%d violations in %.2fs\n", violations, time.Since(start).Seconds())
-	if violations != 0 {
-		return 1
-	}
-	return 0
 }
 
 func fatal(err error) {

@@ -13,7 +13,7 @@ import (
 // for-loop body" — the data path accepts one iteration per clock.
 
 // DelayFn estimates the combinational propagation delay of an op in
-// nanoseconds. Package synth provides the Virtex-II calibrated model;
+// nanoseconds. Package synth provides the Virtex-II fitted model;
 // DefaultDelay is a reasonable generic model for tests.
 type DelayFn func(op *Op) float64
 

@@ -77,7 +77,7 @@ func TestDCTThroughputShape(t *testing.T) {
 // TestAreaEstimationClaim reproduces the §2 claim: estimation runs well
 // under a millisecond per kernel; accuracy is reported per kernel and
 // the suite-level mean absolute error should be within ~15% (the paper's
-// calibrated estimator reached 5% on its own benchmark set).
+// fitted estimator reached 5% on its own benchmark set).
 func TestAreaEstimationClaim(t *testing.T) {
 	rows, err := AreaEstimation()
 	if err != nil {

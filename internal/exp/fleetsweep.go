@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"roccc/internal/calib"
 	"roccc/internal/core"
 	"roccc/internal/dp"
 	"roccc/internal/fleet"
@@ -68,22 +66,12 @@ func LoadCorpusSpecs(dir string, backend dp.Backend) ([]serve.KernelSpec, error)
 // backend. After the storm it asserts every shard pool balanced
 // (Gets == Puts + Rejected) and the router's route table consistent
 // with its own ring.
-//
-// Calibrated mode (calibrate=true) is the auto-pick differential gate:
-// backend is forced to interp — registration AND the serial ground
-// truth — then every streamable kernel is calibrated on its ring-owner
-// shard with the noise-floor guard disabled, so any backend that wins
-// its trial actually takes over the serving pool. The sweep then pins
-// the auto-picked fleet bit-identical to serial interp.
-func FleetSweep(streams, shards int, backend dp.Backend, corpusDir string, calibrate bool) ([]ServeRow, error) {
+func FleetSweep(streams, shards int, backend dp.Backend, corpusDir string) ([]ServeRow, error) {
 	if streams <= 0 {
 		streams = 8
 	}
 	if shards <= 0 {
 		shards = 3
-	}
-	if calibrate {
-		backend = dp.BackendInterp
 	}
 	specs := serve.Table1Specs()
 	specs = append(specs, serve.KernelSpec{
@@ -120,22 +108,6 @@ func FleetSweep(streams, shards int, backend dp.Backend, corpusDir string, calib
 	}
 	defer router.Close()
 
-	if calibrate {
-		// Calibrate each kernel on the shard the ring routes it to — the
-		// one that will actually serve it — with the noise-floor guard off
-		// (NoiseFloor < 0) so any measured win swaps the pool and the
-		// sweep exercises genuinely auto-picked backends. Combinational
-		// kernels cannot stream, hence cannot be trialed; the sweep
-		// separately asserts they refuse requests with the same diagnosis.
-		opt := calib.Options{Warmup: 1, Reps: 1, Iters: 2, NoiseFloor: -1}
-		for _, spec := range specs {
-			_, cerr := workers[router.ShardFor(spec.Name)].CalibrateKernel(spec.Name, opt)
-			if cerr != nil && !errors.Is(cerr, netlist.ErrCombinational) {
-				return nil, fmt.Errorf("exp: fleet sweep: calibrate %s: %w", spec.Name, cerr)
-			}
-		}
-	}
-
 	front := serve.NewServer(0)
 	front.SetDispatcher(router)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -151,7 +123,7 @@ func FleetSweep(streams, shards int, backend dp.Backend, corpusDir string, calib
 			w.Shutdown(ctx)
 		}
 	}()
-	conn, err := serve.DialPipelined(ln.Addr().String())
+	conn, err := serve.DialContext(context.Background(), ln.Addr().String(), serve.WithPipelined(0))
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,7 @@ func ServeSweep(streams int) ([]ServeRow, error) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	}()
-	conn, err := serve.Dial(ln.Addr().String())
+	conn, err := serve.DialContext(context.Background(), ln.Addr().String())
 	if err != nil {
 		return nil, err
 	}

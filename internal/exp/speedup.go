@@ -33,7 +33,7 @@ type CPUModel struct {
 }
 
 // EmbeddedCPU models the CSoC-integrated processor class of the paper's
-// platforms (Triscend A7 / Excalibur ARM9-era cores).
+// platforms (Triscend A7 / Altera ARM9-era cores).
 var EmbeddedCPU = CPUModel{
 	Name: "embedded-risc-400MHz", ClockMHz: 400,
 	CPIALU: 1, CPIMul: 4, CPILoad: 2.5, CPIStore: 2, CPIBranch: 2,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"roccc/client"
-	"roccc/internal/calib"
 	"roccc/internal/fleet"
 	"roccc/internal/serve"
 )
@@ -88,24 +87,6 @@ func StartLocalFleet(shards, slots, poolWorkers int, specs []serve.KernelSpec) (
 	go lf.msrv.Serve(lf.mln)
 	lf.MetricsURL = fmt.Sprintf("http://%s/metrics", lf.mln.Addr())
 	return lf, nil
-}
-
-// Calibrate trials every compiled kernel on every shard across all
-// execution backends and swaps each serving pool to its measured
-// winner (see internal/calib). The harness uses it between knee runs:
-// knee #1 measures the configured backends, Calibrate repicks, knee #2
-// measures the auto-picked fleet — the before/after pair the calibrate
-// gate compares. Returns the number of trials run.
-func (lf *LocalFleet) Calibrate(opt calib.Options) (int, error) {
-	trials := 0
-	for i, w := range lf.workers {
-		results, err := w.Calibrate(opt)
-		if err != nil {
-			return trials, fmt.Errorf("load: calibrating shard %d: %w", i, err)
-		}
-		trials += len(results)
-	}
-	return trials, nil
 }
 
 // PoolsBalanced verifies every shard drained to Gets == Puts + Rejected

@@ -14,57 +14,10 @@ func knee(rps float64) *KneeResult {
 	}
 }
 
-// TestGateCalibratedComparison pins the calibrate gate contract: on a
-// big-enough machine the calibrated knee must not regress the baseline;
-// under minCPU the comparison is skipped (single-core backends have
-// nothing to win), but shape checks still run on both searches.
-func TestGateCalibratedComparison(t *testing.T) {
-	r := &Report{CPUs: 8, Knee: knee(200), KneeCalibrated: knee(150)}
-	v := r.Gate(4, 0)
-	if len(v) != 1 || !strings.Contains(v[0], "regressed") {
-		t.Fatalf("violations = %q, want one regression", v)
-	}
-
-	r.KneeCalibrated = knee(200) // equal is fine: auto-pick may keep every backend
-	if v := r.Gate(4, 0); len(v) != 0 {
-		t.Fatalf("equal knees flagged: %q", v)
-	}
-	r.KneeCalibrated = knee(400)
-	if v := r.Gate(4, 0); len(v) != 0 {
-		t.Fatalf("improved knee flagged: %q", v)
-	}
-
-	// Under the CPU floor the comparison is skipped...
-	r.CPUs = 2
-	r.KneeCalibrated = knee(50)
-	if v := r.Gate(4, 0); len(v) != 0 {
-		t.Fatalf("small machine gated the comparison: %q", v)
-	}
-	// ...but the calibrated search's shape checks still apply.
-	r.KneeCalibrated.ShedMonotonic = false
-	v = r.Gate(4, 0)
-	if len(v) != 1 || !strings.Contains(v[0], "calibrated shed rate") {
-		t.Fatalf("violations = %q, want calibrated shed-shape violation", v)
-	}
-}
-
-// TestGateFloorAppliesToBothKnees: the CPU-conditioned rate floor gates
-// the baseline and the calibrated search independently, with labelled
-// violations.
-func TestGateFloorAppliesToBothKnees(t *testing.T) {
-	r := &Report{CPUs: 8, Knee: knee(80), KneeCalibrated: knee(90)}
-	v := r.Gate(4, 100)
-	if len(v) != 2 {
-		t.Fatalf("violations = %q, want both knees under the floor", v)
-	}
-	if !strings.Contains(v[1], "calibrated knee") {
-		t.Fatalf("second violation not labelled calibrated: %q", v)
-	}
-}
-
-// TestGateUncalibratedUnchanged: without a calibrated knee the gate is
-// the original contract — no knee result is itself a violation.
-func TestGateUncalibratedUnchanged(t *testing.T) {
+// TestGateKnee pins the load gate contract: no knee result, no knee
+// found, a collapsing shed rate and errors below the knee are each a
+// violation, and a clean report passes.
+func TestGateKnee(t *testing.T) {
 	r := &Report{CPUs: 8}
 	if v := r.Gate(4, 100); len(v) != 1 || !strings.Contains(v[0], "no knee result") {
 		t.Fatalf("violations = %v", r.Gate(4, 100))
@@ -73,9 +26,33 @@ func TestGateUncalibratedUnchanged(t *testing.T) {
 	if v := r.Gate(4, 100); len(v) != 0 {
 		t.Fatalf("clean report flagged: %q", v)
 	}
-	r.Knee.KneeRPS = 0
+	r.Knee.ShedMonotonic = false
+	if v := r.Gate(4, 0); len(v) != 1 || !strings.Contains(v[0], "shed rate is not monotonic") {
+		t.Fatalf("violations = %q, want shed-shape violation", v)
+	}
+	r.Knee = knee(200)
+	r.Knee.Steps[0].Errors = 3
+	if v := r.Gate(4, 0); len(v) != 1 || !strings.Contains(v[0], "non-shed errors") {
+		t.Fatalf("violations = %q, want below-knee error violation", v)
+	}
+	r.Knee = knee(0)
 	r.Knee.Steps = nil
 	if v := r.Gate(4, 0); len(v) != 1 || !strings.Contains(v[0], "no knee found") {
 		t.Fatalf("violations = %q, want no-knee violation", v)
+	}
+}
+
+// TestGateFloorIsCPUConditioned: the knee rate floor gates only on
+// machines with at least minCPU cores; smaller ones keep the shape
+// checks alone.
+func TestGateFloorIsCPUConditioned(t *testing.T) {
+	r := &Report{CPUs: 8, Knee: knee(80)}
+	v := r.Gate(4, 100)
+	if len(v) != 1 || !strings.Contains(v[0], "under the 100 rps floor") {
+		t.Fatalf("violations = %q, want one floor violation", v)
+	}
+	r.CPUs = 2
+	if v := r.Gate(4, 100); len(v) != 0 {
+		t.Fatalf("small machine gated the floor: %q", v)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // kernel without a loop nest (fully unrolled bit-level kernels, LUTs):
 // such kernels have no memory system to stream through and must be
 // simulated at the data-path level instead. Services and the
-// calibration plane match it with errors.Is to distinguish "cannot
+// sweeps match it with errors.Is to distinguish "cannot
 // stream, skip" from a real build failure.
 var ErrCombinational = errors.New("no loop nest")
 

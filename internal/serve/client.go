@@ -233,22 +233,6 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, e
 	return c, nil
 }
 
-// Dial connects speaking protocol v1 (serial requests). It is a thin
-// wrapper kept for existing call sites; new code should use
-// DialContext.
-func Dial(addr string) (*Conn, error) {
-	return DialContext(context.Background(), addr)
-}
-
-// DialPipelined connects and negotiates protocol v2 with unbounded
-// client-side request slots. It is a thin wrapper kept for existing
-// call sites; new code should use DialContext with WithPipelined.
-// Dialing a v1 server fails with a clear error (a v1 server answers the
-// hello frame with a request-level error and closes the connection).
-func DialPipelined(addr string) (*Conn, error) {
-	return DialContext(context.Background(), addr, WithPipelined(0))
-}
-
 // handshake sends the client hello and classifies the server's answer.
 func (c *Conn) handshake() error {
 	e := &c.enc
@@ -271,7 +255,7 @@ func (c *Conn) handshake() error {
 			return fmt.Errorf("serve: malformed hello response: %w", d.err)
 		}
 		if ver < ProtoV2 {
-			return fmt.Errorf("serve: server negotiated protocol v%d; pipelined mode needs v2 — use Dial for serial requests", ver)
+			return fmt.Errorf("serve: server negotiated protocol v%d; pipelined mode needs v2 — use DialContext without WithPipelined for serial requests", ver)
 		}
 		return nil
 	case frameError:
@@ -279,7 +263,7 @@ func (c *Conn) handshake() error {
 		// a request-level error and closes the connection.
 		d.u32() // stream id
 		msg := d.str16()
-		return fmt.Errorf("serve: server speaks protocol v1 (no request pipelining; hello refused: %s) — use Dial for serial requests", msg)
+		return fmt.Errorf("serve: server speaks protocol v1 (no request pipelining; hello refused: %s) — use DialContext without WithPipelined for serial requests", msg)
 	default:
 		return fmt.Errorf("serve: unexpected hello response frame %q", typ)
 	}
@@ -312,7 +296,7 @@ func (c *Conn) Healthy() bool {
 // are alive without touching any kernel.
 func (c *Conn) Ping() error {
 	if !c.pipelined {
-		return fmt.Errorf("serve: Ping requires a pipelined connection (DialPipelined)")
+		return fmt.Errorf("serve: Ping requires a pipelined connection (DialContext with WithPipelined)")
 	}
 	p := getPending("", nil, true)
 	req, err := c.register(p)

@@ -4,19 +4,15 @@ import (
 	"encoding/json"
 	"net/http"
 
-	"roccc/internal/calib"
 	"roccc/internal/netlist"
 )
 
 // KernelInfo is the metrics-plane snapshot of one registered kernel.
 // Backend fields are only meaningful once Compiled: BackendConfigured
 // is what the spec asked for, BackendActive is what the built System
-// actually executes on — it diverges from the configured backend when a
-// calibration trial picked a faster one, or when the threaded/cone
-// backends fall back per-kernel because a plan does not qualify.
-// ClosedFormCone reports whether the feedback cone vectorizes in closed
-// form (PR 7's fast path). Calibration carries the most recent trial —
-// the pick, whether it switched, and every backend's measured ns/iter.
+// reports it executes on. ClosedFormCone reports whether the feedback
+// cone vectorizes in closed form; when it does not, the kernel still
+// runs on its configured backend and steps the cone lane by lane.
 type KernelInfo struct {
 	Kernel   string `json:"kernel"`
 	Compiled bool   `json:"compiled"`
@@ -25,9 +21,6 @@ type KernelInfo struct {
 	BackendConfigured string `json:"backend_configured"`
 	BackendActive     string `json:"backend_active,omitempty"`
 	ClosedFormCone    bool   `json:"closed_form_cone"`
-
-	Calibrations int64         `json:"calibrations,omitempty"`
-	Calibration  *calib.Result `json:"calibration,omitempty"`
 
 	Opens     int64 `json:"opens"`
 	Streams   int64 `json:"streams"`
@@ -58,12 +51,9 @@ type Metrics struct {
 	Faults   int64 `json:"faults"`
 	Sheds    int64 `json:"sheds"`
 	InFlight int64 `json:"in_flight"`
-	// Calibrations counts backend trials completed; CalibSwaps the
-	// subset whose pick rebuilt a live pool onto a faster backend.
-	Calibrations int64        `json:"calibrations"`
-	CalibSwaps   int64        `json:"calib_swaps"`
-	Kernels      []KernelInfo `json:"kernels"`
-	Conns        []ConnInfo   `json:"conns"`
+
+	Kernels []KernelInfo `json:"kernels"`
+	Conns   []ConnInfo   `json:"conns"`
 }
 
 // KernelInfos snapshots every registered kernel, sorted by name.
@@ -74,8 +64,6 @@ func (s *Server) KernelInfos() []KernelInfo {
 		info := KernelInfo{
 			Kernel:            e.spec.Name,
 			BackendConfigured: e.spec.Config.Backend.String(),
-			Calibrations:      e.calibrations.Load(),
-			Calibration:       e.lastCalib.Load(),
 			Opens:             e.opens.Load(),
 			Streams:           e.streams.Load(),
 			Faults:            e.faults.Load(),
@@ -123,17 +111,15 @@ func (s *Server) ConnInfos() []ConnInfo {
 // Metrics snapshots the whole server for the observability plane.
 func (s *Server) Metrics() Metrics {
 	return Metrics{
-		Proto:        ProtoV2,
-		Workers:      s.workers,
-		Draining:     s.closing.Load(),
-		Served:       s.served.Load(),
-		Faults:       s.faults.Load(),
-		Sheds:        s.sheds.Load(),
-		InFlight:     s.inflight.Load(),
-		Calibrations: s.calib.calibrations.Load(),
-		CalibSwaps:   s.calib.swaps.Load(),
-		Kernels:      s.KernelInfos(),
-		Conns:        s.ConnInfos(),
+		Proto:    ProtoV2,
+		Workers:  s.workers,
+		Draining: s.closing.Load(),
+		Served:   s.served.Load(),
+		Faults:   s.faults.Load(),
+		Sheds:    s.sheds.Load(),
+		InFlight: s.inflight.Load(),
+		Kernels:  s.KernelInfos(),
+		Conns:    s.ConnInfos(),
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"roccc/internal/bench"
-	"roccc/internal/calib"
 	"roccc/internal/core"
 	"roccc/internal/dp"
 	"roccc/internal/netlist"
@@ -149,14 +148,6 @@ type kernelEntry struct {
 	// means inherit the server-wide cap.
 	idleOverride atomic.Int64
 
-	// picked is the calibration backend override: 0 means serve the spec
-	// config, otherwise dp.Backend(picked-1). It outlives the pool —
-	// post-eviction rebuilds keep the pick. lastCalib is the most recent
-	// trial result (metrics plane); calibrations counts trials.
-	picked       atomic.Int32
-	lastCalib    atomic.Pointer[calib.Result]
-	calibrations atomic.Int64
-
 	// Counters for the metrics plane. inflight gates eviction; hwm is
 	// the concurrency high-water mark since the last Autotune drain.
 	inflight  atomic.Int64
@@ -197,12 +188,8 @@ func (e *kernelEntry) ensure() error {
 			return e.cerr
 		}
 		e.compiled = res
-		// On-register calibration trigger (registration never compiles, so
-		// first compile is the earliest the kernel can be measured): pick
-		// the backend before the first pool exists.
-		e.autoCalibrateLocked()
 	}
-	pool, err := netlist.NewSystemPool(e.compiled.Kernel, e.compiled.Datapath, e.effectiveConfig(), e.srv.workers)
+	pool, err := netlist.NewSystemPool(e.compiled.Kernel, e.compiled.Datapath, e.spec.Config, e.srv.workers)
 	if err != nil {
 		// Deterministic (geometry/config), so latch it like a compile
 		// failure: combinational kernels refuse every request the same way.
@@ -332,9 +319,6 @@ type Server struct {
 	served atomic.Int64
 	faults atomic.Int64
 	sheds  atomic.Int64
-
-	// calib is the backend-calibration plane (calibrate.go).
-	calib calibState
 }
 
 // NewServer builds a server whose per-kernel pools shard across workers

@@ -177,9 +177,9 @@ func TestDialPipelinedV1Server(t *testing.T) {
 			e.str16(`serve: unexpected frame type 'V'`)
 			c.Write(e.finish())
 		})
-		_, err := DialPipelined(addr)
-		if err == nil || !strings.Contains(err.Error(), "protocol v1") || !strings.Contains(err.Error(), "use Dial") {
-			t.Fatalf("err = %v, want a protocol-v1 refusal pointing at Dial", err)
+		_, err := DialContext(context.Background(), addr, WithPipelined(0))
+		if err == nil || !strings.Contains(err.Error(), "protocol v1") || !strings.Contains(err.Error(), "use DialContext without WithPipelined") {
+			t.Fatalf("err = %v, want a protocol-v1 refusal pointing at serial DialContext", err)
 		}
 	})
 	t.Run("downgraded-hello", func(t *testing.T) {
@@ -189,7 +189,7 @@ func TestDialPipelinedV1Server(t *testing.T) {
 			e.u16(ProtoV1)
 			c.Write(e.finish())
 		})
-		_, err := DialPipelined(addr)
+		_, err := DialContext(context.Background(), addr, WithPipelined(0))
 		if err == nil || !strings.Contains(err.Error(), "negotiated protocol v1") {
 			t.Fatalf("err = %v, want a negotiated-v1 refusal", err)
 		}
@@ -203,7 +203,7 @@ func TestDialPipelinedV1Server(t *testing.T) {
 // fail only its own Run, leaving the connection healthy.
 func TestServePipelinedConcurrent(t *testing.T) {
 	_, addr := startServer(t, 4)
-	conn, err := DialPipelined(addr)
+	conn, err := DialContext(context.Background(), addr, WithPipelined(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestServePipelinedConcurrent(t *testing.T) {
 // refused with a clear error on a serial one.
 func TestServePing(t *testing.T) {
 	_, addr := startServer(t, 1)
-	pc, err := DialPipelined(addr)
+	pc, err := DialContext(context.Background(), addr, WithPipelined(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestServePing(t *testing.T) {
 			t.Fatalf("ping %d: %v", i, err)
 		}
 	}
-	sc, err := Dial(addr)
+	sc, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"strings"
@@ -132,7 +133,7 @@ func serialFIR(t *testing.T, inputs map[string][]int64) ([]int64, int) {
 func TestServeTCPRoundTrip(t *testing.T) {
 	srv, addr := startServer(t, 4)
 	_ = srv
-	conn, err := Dial(addr)
+	conn, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestServeTCPRoundTrip(t *testing.T) {
 func TestServeFeedbackKernel(t *testing.T) {
 	srv, addr := startServer(t, 2)
 	_ = srv
-	conn, err := Dial(addr)
+	conn, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestServeFeedbackKernel(t *testing.T) {
 func TestServeUnknownKernel(t *testing.T) {
 	srv, addr := startServer(t, 1)
 	_ = srv
-	conn, err := Dial(addr)
+	conn, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestServeNonStreamableKernel(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := Dial(addr)
+	conn, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestServeMalformedFrame(t *testing.T) {
 	}
 
 	// Server still alive and serving.
-	conn, err := Dial(addr)
+	conn, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestServeDisconnectMidStream(t *testing.T) {
 	srv, addr := startServer(t, 2)
 
 	// Prime the kernel so stats exist before the rude client.
-	conn, err := Dial(addr)
+	conn, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestServeDisconnectMidStream(t *testing.T) {
 	}
 
 	// And the kernel still serves.
-	conn2, err := Dial(addr)
+	conn2, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +387,7 @@ func TestServeFaultAbortCycle(t *testing.T) {
 		t.Fatalf("serial run did not raise a typed fault: %v", serialErr)
 	}
 
-	conn, err := Dial(addr)
+	conn, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,7 @@ func TestServeFaultAbortCycle(t *testing.T) {
 func TestServeLocalMatchesTCP(t *testing.T) {
 	srv, addr := startServer(t, 2)
 	local := srv.Local()
-	conn, err := Dial(addr)
+	conn, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +478,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	conn, err := Dial(ln.Addr().String())
+	conn, err := DialContext(context.Background(), ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +503,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 
 	// Post-shutdown requests fail: connection refused or drain error.
-	if c2, err := Dial(ln.Addr().String()); err == nil {
+	if c2, err := DialContext(context.Background(), ln.Addr().String()); err == nil {
 		if err := c2.Run("fir", streams); err == nil {
 			t.Fatal("request succeeded after Shutdown")
 		}
@@ -517,7 +518,9 @@ func TestServeGracefulShutdown(t *testing.T) {
 // per registered kernel through KernelSpec.Config — the same source
 // registered on different backends must serve bit-identical outputs,
 // cycle counts and feedback values, and each entry's pool must build
-// Systems on its own backend.
+// Systems on its own backend. Evicting every pool and serving again
+// must rebuild each one from the spec config: the active backend and
+// every output, cycle count and feedback value stay as they were.
 func TestServeBackendSelection(t *testing.T) {
 	srv := NewServer(2)
 	for _, b := range dp.Backends() {
@@ -549,38 +552,76 @@ func TestServeBackendSelection(t *testing.T) {
 		cycles   int
 		feedback int64
 	}
-	results := map[string]got{}
-	for _, b := range dp.Backends() {
-		fjobs := []netlist.Job{{Inputs: map[string][]int64{"A": fin}}}
-		if err := local.Run("fir-"+b.String(), fjobs); err != nil {
-			t.Fatalf("[%v] fir: %v", b, err)
+	serveAll := func() map[string]got {
+		results := map[string]got{}
+		for _, b := range dp.Backends() {
+			fjobs := []netlist.Job{{Inputs: map[string][]int64{"A": fin}}}
+			if err := local.Run("fir-"+b.String(), fjobs); err != nil {
+				t.Fatalf("[%v] fir: %v", b, err)
+			}
+			ajobs := []netlist.Job{{Inputs: map[string][]int64{"A": ain}}}
+			if err := local.Run("accum-"+b.String(), ajobs); err != nil {
+				t.Fatalf("[%v] accum: %v", b, err)
+			}
+			results[b.String()] = got{
+				out:      fjobs[0].Outputs["C"],
+				cycles:   fjobs[0].Cycles,
+				feedback: ajobs[0].Feedbacks["sum"],
+			}
 		}
-		ajobs := []netlist.Job{{Inputs: map[string][]int64{"A": ain}}}
-		if err := local.Run("accum-"+b.String(), ajobs); err != nil {
-			t.Fatalf("[%v] accum: %v", b, err)
-		}
-		results[b.String()] = got{
-			out:      fjobs[0].Outputs["C"],
-			cycles:   fjobs[0].Cycles,
-			feedback: ajobs[0].Feedbacks["sum"],
-		}
+		return results
 	}
-	ref := results[dp.BackendInterp.String()]
-	for _, b := range dp.Backends()[1:] {
-		r := results[b.String()]
+	same := func(label string, r, ref got) {
+		t.Helper()
 		if r.cycles != ref.cycles {
-			t.Fatalf("[%v] fir cycles %d, interp %d", b, r.cycles, ref.cycles)
+			t.Fatalf("%s: fir cycles %d, want %d", label, r.cycles, ref.cycles)
 		}
 		if len(r.out) != len(ref.out) {
-			t.Fatalf("[%v] fir output length %d, interp %d", b, len(r.out), len(ref.out))
+			t.Fatalf("%s: fir output length %d, want %d", label, len(r.out), len(ref.out))
 		}
 		for j := range ref.out {
 			if r.out[j] != ref.out[j] {
-				t.Fatalf("[%v] fir C[%d] = %d, interp %d", b, j, r.out[j], ref.out[j])
+				t.Fatalf("%s: fir C[%d] = %d, want %d", label, j, r.out[j], ref.out[j])
 			}
 		}
 		if r.feedback != ref.feedback {
-			t.Fatalf("[%v] accum sum = %d, interp %d", b, r.feedback, ref.feedback)
+			t.Fatalf("%s: accum sum = %d, want %d", label, r.feedback, ref.feedback)
 		}
+	}
+	active := func() map[string]string {
+		m := map[string]string{}
+		for _, ki := range srv.KernelInfos() {
+			m[ki.Kernel] = ki.BackendActive
+		}
+		return m
+	}
+
+	results := serveAll()
+	ref := results[dp.BackendInterp.String()]
+	for _, b := range dp.Backends()[1:] {
+		same(fmt.Sprintf("[%v] vs interp", b), results[b.String()], ref)
+	}
+	before := active()
+
+	// Post-eviction rebuilds build from the spec config.
+	for name := range before {
+		if err := srv.Evict(name); err != nil {
+			t.Fatalf("evict %s: %v", name, err)
+		}
+	}
+	for _, ki := range srv.KernelInfos() {
+		if ki.Resident || ki.Evictions != 1 {
+			t.Fatalf("%s not evicted: %+v", ki.Kernel, ki)
+		}
+	}
+	rebuilt := serveAll()
+	after := active()
+	for _, b := range dp.Backends() {
+		for _, name := range []string{"fir-" + b.String(), "accum-" + b.String()} {
+			if after[name] != before[name] || after[name] == "" {
+				t.Fatalf("%s: backend_active %q after rebuild, %q before", name, after[name], before[name])
+			}
+		}
+		same(fmt.Sprintf("[%v] after eviction", b), rebuilt[b.String()], results[b.String()])
 	}
 }

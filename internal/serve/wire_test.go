@@ -145,7 +145,7 @@ func TestStreamScratchRecycling(t *testing.T) {
 		chk.g = newGate(s)
 		s.SetDispatcher(chk)
 	})
-	conn, err := DialPipelined(addr)
+	conn, err := DialContext(context.Background(), addr, WithPipelined(0))
 	if err != nil {
 		t.Fatal(err)
 	}

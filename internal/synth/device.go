@@ -7,7 +7,7 @@
 // Both the ROCCC-generated circuits and the hand-structured IP baselines
 // (package ip) are costed through the same primitive models, so the
 // relative results (the shape of Table 1) do not depend on absolute
-// calibration.
+// model constants.
 package synth
 
 import "math"

@@ -170,7 +170,7 @@ func opClass(d *dp.Datapath, op *dp.Op) string {
 // less than one millisecond and within 5% accuracy compile time area
 // estimation can be achieved"). Unlike Synthesize it does not analyze
 // each operator: it aggregates bit counts per opcode class and applies
-// per-class slice densities (the calibrated linear model of [13]). The
+// per-class slice densities (the fitted linear model of [13]). The
 // experiment in package exp measures its error and runtime against the
 // detailed Synthesize pass.
 func Estimate(d *dp.Datapath, opt Options) (slices int, elapsed time.Duration) {
@@ -235,7 +235,7 @@ func Estimate(d *dp.Datapath, opt Options) (slices int, elapsed time.Duration) {
 	}
 	// The +8 intercept covers fixed wrapper costs the class sweep misses
 	// (SNX latches, IO, odd slices) — fitted once against Synthesize on
-	// the Table 1 suite, as [13] calibrated its per-unit model.
+	// the Table 1 suite, as [13] fitted its per-unit model.
 	est := 8 + float64(addBits)*0.5 + float64(cmpBits)*0.5 + float64(muxBits)*0.5 +
 		float64(logicBits)*0.5 + float64(regBits)*0.55*stageFactor +
 		float64(constMulBits)*constMulDensity + float64(romSlices)
